@@ -76,7 +76,8 @@ def _roof_from_args(args) -> RoofConfig:
 
 
 def _add_roof_args(p):
-    p.add_argument("--restarts", type=int, default=16, help="roof optimizer restarts")
+    p.add_argument("--restarts", type=int, default=RoofConfig().restarts,
+                   help="roof optimizer restarts (default: %(default)s, the library default)")
     p.add_argument("--cardinality", type=int, default=None, help="decomposition size")
     p.add_argument("--roof-seed", type=int, default=0)
 
@@ -119,7 +120,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=25, help="states per rank class")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=int, default=16,
+                   help="restarts per roof call (default: %(default)s, as the oracle "
+                        "equivalence test's MIN searches use)")
 
     return parser
 

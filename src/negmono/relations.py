@@ -351,9 +351,8 @@ def _condition_holds(spec: RelationSpec, mv: MeasureVector, k: float | None, alp
         if holds:
             # the tail sum dominates the single next term, so the ordering
             # condition is implied at the same k
-            assert check_ordering_condition(mv.values, k), (
-                "tail-sum condition held but ordering did not"
-            )
+            if not check_ordering_condition(mv.values, k):
+                raise RuntimeError("tail-sum condition held but ordering did not")
         return holds
     if spec.condition is ConditionMode.COLLECTIVE_TAIL:
         if mv.tail_values is None:

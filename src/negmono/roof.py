@@ -10,6 +10,12 @@ rotations with step control, while 2x2-by-2x2 cuts get closed-form
 per-pair solves (a Takagi factorization of the pair's determinant form),
 searched per-column-phase solves, and random-direction escapes from the
 kinked block-optimal points this objective is prone to.
+
+The generic search is bound by per-call overhead on tiny arrays, so it
+batches its candidates into at most two objective calls per row pair,
+with rotation blocks cached per step size; the objective is row-wise to
+the last bit, so the trajectory is the one-candidate-at-a-time one (see
+``_coordinate_search``).
 """
 
 from __future__ import annotations
@@ -162,23 +168,30 @@ class _Objective:
             self.d_a, self.d_b = self.d_b, self.d_a
         self.det_mode = self.d_a == 2 and self.d_b == 2
         self.perm_flat = tuple(int(i) for i in self.perm.reshape(-1))
+        # state-space indices of the two rows of the reshaped member, for
+        # the Gram fast path
+        self.half_rows = tuple(np.ascontiguousarray(half) for half in self.perm[:2])
         self.base, self.rank = _eig_base(rho)
 
     def rows_of(self, V: np.ndarray) -> np.ndarray:
         return V @ self.base.T
 
     def contribs(self, rows: np.ndarray) -> np.ndarray:
-        """Nuclear-norm-squared of each row's cut-reshaped matrix."""
-        mats = rows[:, self.perm]
+        """Nuclear-norm-squared of each row's cut-reshaped matrix.
+
+        Each row's value depends on that row alone, bit for bit, however
+        many rows come in one call; the coordinate search relies on this.
+        """
         if self.d_a == 2:
-            x = mats[:, 0, :]
-            y = mats[:, 1, :]
+            x = rows[:, self.half_rows[0]]
+            y = rows[:, self.half_rows[1]]
+            yc = y.conj()
             g00 = np.einsum("kb,kb->k", x, x.conj()).real
-            g11 = np.einsum("kb,kb->k", y, y.conj()).real
-            g01 = np.einsum("kb,kb->k", x, y.conj())
-            det = np.clip(g00 * g11 - np.abs(g01) ** 2, 0.0, None)
+            g11 = np.einsum("kb,kb->k", y, yc).real
+            g01 = np.einsum("kb,kb->k", x, yc)
+            det = np.maximum(g00 * g11 - np.abs(g01) ** 2, 0.0)
             return g00 + g11 + 2.0 * np.sqrt(det)
-        s = np.linalg.svd(mats, compute_uv=False)
+        s = np.linalg.svd(rows[:, self.perm], compute_uv=False)
         return s.sum(axis=1) ** 2
 
 
@@ -473,54 +486,83 @@ def _rotation_coeffs(theta: float) -> np.ndarray:
     )
 
 
-def _pair_coeffs(theta: float, variant: int) -> np.ndarray:
-    """The (2, 2) mixing block of trial rotation ``variant`` at ``theta``."""
-    return _rotation_coeffs(theta)[2 * variant : 2 * variant + 2]
+def _rotation_blocks(step: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The four trial rotations at ``step`` and, per variant, its expansion
+    ladder: the variant's (2, 2) blocks at angles ``step * 2, step * 4, ...``
+    while the angle stays below 1.6, stacked in that order into one
+    C-contiguous (2L, 2) matrix.  Steps start at 0.5, so L >= 1."""
+    thetas = []
+    scale = 2.0
+    while step * scale < 1.6:
+        thetas.append(step * scale)
+        scale *= 2.0
+    stack = np.stack([_rotation_coeffs(theta) for theta in thetas])
+    return _rotation_coeffs(step), [stack[:, 2 * t : 2 * t + 2].reshape(-1, 2) for t in range(4)]
 
 
 def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple[float, np.ndarray]:
+    """Derivative-free descent by pairwise row rotations of ``V``.
+
+    Each sweep visits every row pair (i, j) and tries four rotations of
+    angle ``step`` (two real, two with relative phase i) in one objective
+    call; the best one, if it improves, is expanded along its expansion
+    ladder (doubling angles below 1.6), evaluated in one more call, and the
+    last candidate of the improving prefix is applied.  The rotation blocks
+    are built once per step, and the applied candidate's contributions are
+    taken from the call that produced them.  Since ``_Objective.contribs``
+    is row-wise (a row's value does not depend on the other rows of its
+    call), this gives bit for bit the values of evaluating each candidate
+    on its own, so the trajectory is the plain one-candidate-at-a-time
+    search.  The step halves once a sweep gains less than
+    ``1e-2 * step**2``.
+    """
     minimize = cfg.direction is Direction.MIN
     sign = 1.0 if minimize else -1.0
     m = V.shape[0]
     rows = obj.rows_of(V)  # cached image of V in state space, updated in lock step
-    contribs = obj.contribs(rows)
-    total = float(contribs.sum())
+    values = obj.contribs(rows)
+    total = float(values.sum())
     if m < 2:
         return total - 1.0, V
+    contribs = values.tolist()
     step = 0.5
+    blocks_step = None
     sweeps = 0
     while step > cfg.step_tolerance and sweeps < cfg.max_iters:
         if minimize and total - 1.0 <= cfg.min_floor:
             break
         sweeps += 1
-        coeffs = _rotation_coeffs(step)
+        if step != blocks_step:
+            coeffs, ladders = _rotation_blocks(step)
+            blocks_step = step
         gain = 0.0
         for i in range(m - 1):
             for j in range(i + 1, m):
-                pair_v = V[(i, j), :]
                 pair_d = rows[(i, j), :]
-                cc = obj.contribs(coeffs @ pair_d)
-                deltas = cc[0::2] + cc[1::2] - (contribs[i] + contribs[j])
-                t = int(np.argmin(sign * deltas))
-                delta = float(deltas[t])
-                if sign * delta >= -_IMPROVE_EPS:
+                base = contribs[i] + contribs[j]
+                cc = obj.contribs(coeffs @ pair_d).tolist()
+                deltas = [cc[0] + cc[1] - base, cc[2] + cc[3] - base,
+                          cc[4] + cc[5] - base, cc[6] + cc[7] - base]
+                signed = [sign * d for d in deltas]
+                t = signed.index(min(signed))  # the first minimum, as np.argmin
+                delta = deltas[t]
+                if signed[t] >= -_IMPROVE_EPS:
                     continue
-                block = _pair_coeffs(step, t)
+                block = coeffs[2 * t : 2 * t + 2]
+                new_pair = cc[2 * t : 2 * t + 2]
                 # expand along the winning direction while it keeps
                 # improving, so narrow valleys are crossed in one move
                 # instead of one step per sweep
-                scale = 2.0
-                while step * scale < 1.6:
-                    trial = _pair_coeffs(step * scale, t)
-                    d = float(obj.contribs(trial @ pair_d).sum()) - (contribs[i] + contribs[j])
+                ladder = ladders[t]
+                cl = obj.contribs(ladder @ pair_d).tolist()
+                for k in range(0, len(cl), 2):
+                    d = cl[k] + cl[k + 1] - base
                     if sign * d < sign * delta - _IMPROVE_EPS:
-                        delta, block = d, trial
-                        scale *= 2.0
+                        delta, block, new_pair = d, ladder[k : k + 2], cl[k : k + 2]
                     else:
                         break
-                V[(i, j), :] = block @ pair_v
+                V[(i, j), :] = block @ V[(i, j), :]
                 rows[(i, j), :] = block @ pair_d
-                new_pair = obj.contribs(rows[(i, j), :])
                 contribs[i], contribs[j] = new_pair
                 total += delta
                 gain -= sign * delta
@@ -529,8 +571,9 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
             # stops the residual drift from accumulating
             V = _reorthonormalize(V)
             rows = obj.rows_of(V)
-            contribs = obj.contribs(rows)
-            total = float(contribs.sum())
+            values = obj.contribs(rows)
+            total = float(values.sum())
+            contribs = values.tolist()
         if gain < 1e-2 * step * step:
             # progress at this scale has dropped to the quadratic tail:
             # refine rather than re-sweeping

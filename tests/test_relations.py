@@ -285,6 +285,17 @@ class TestEvaluateRelation:
         assert abs(rep.rhs - 0.5) < 1e-12  # 1 + (-1/2) * 1
         assert rep.satisfied is True
 
+    def test_tail_sum_without_ordering_raises(self, monkeypatch):
+        # the tail-sum condition implies the ordering one; a broken
+        # implication must fail loudly, also under ``python -O``
+        import negmono.relations as relations
+
+        mv = scren_vec([1.0, 0.3, 0.1], 2.0)
+        assert evaluate_relation(mv, RelationId.MONO_LADDER, 2.0, "auto").condition_holds
+        monkeypatch.setattr(relations, "check_ordering_condition", lambda values, k: False)
+        with pytest.raises(RuntimeError, match="ordering"):
+            evaluate_relation(mv, RelationId.MONO_LADDER, 2.0, "auto")
+
     def test_collective_requires_tails(self):
         mv = screnoa_vec([1.0, 0.5, 0.2], 1.0)
         with pytest.raises(ValueError):

@@ -17,7 +17,13 @@ from negmono import (
     two_qubit_tangle_and_toa,
 )
 from negmono.harness import builtin_state
-from negmono.roof import _haar_isometry, _solve_pair
+from negmono.roof import (
+    _haar_isometry,
+    _Objective,
+    _rotation_blocks,
+    _rotation_coeffs,
+    _solve_pair,
+)
 
 CUT2 = Bipartition.split(2, (0,))
 
@@ -216,3 +222,58 @@ class TestOptimizeRoof:
         hi = optimize_roof(rho, cut, RoofConfig(restarts=6, seed=9, direction=Direction.MAX))
         assert 0 <= lo.value <= hi.value + 1e-9
         assert np.abs(reconstruct(hi.weights, hi.states) - rho.matrix).max() < 1e-8
+
+
+class TestCoordinateSearch:
+    """The generic-cut search (Gram branch on 2xd cuts, SVD branch otherwise)."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_contribs_batch_invariant(self, dims):
+        # the search evaluates all trial rotations, and then a whole
+        # expansion ladder, in one call each and reuses the winner's values,
+        # so a row's value must not depend on the other rows of its call
+        rho = haar_random_mixed(dims, 3, np.random.SeedSequence((61, *dims)))
+        obj = _Objective(rho, (0,), (1,))
+        rng = np.random.default_rng(62)
+        rows = obj.rows_of(_haar_isometry(9, obj.rank, rng))
+        for i, j in ((0, 1), (2, 7), (5, 8)):
+            pair_d = rows[(i, j), :]
+            for step in (0.5, 2.0**-6, 2.0**-20):
+                coeffs, ladders = _rotation_blocks(step)
+                stacks = [coeffs, np.concatenate([_rotation_coeffs(0.3), coeffs]), *ladders]
+                for stacked in stacks:
+                    batched = obj.contribs(stacked @ pair_d)
+                    one_by_one = np.concatenate([
+                        obj.contribs(stacked[k : k + 2] @ pair_d)
+                        for k in range(0, len(stacked), 2)
+                    ])
+                    assert (batched == one_by_one).all()
+
+    # optimize_roof under RoofConfig(restarts=4, max_iters=40) on seeded
+    # states, recorded from the search that evaluated every expansion
+    # candidate in its own call: (MIN value, MIN spread, MAX value,
+    # MAX spread).  None of these capped searches converges, so any change
+    # to the search trajectory moves them far beyond the tolerance.
+    PINNED = {
+        ((2, 3), 0): (0.43597299060079076, 0.0118026496729291,
+                      0.9656639254668029, 9.292145950245967e-06),
+        ((2, 3), 1): (0.47990845867572496, 0.0005954520597832857,
+                      0.954004310633592, 4.384685301217495e-05),
+        ((3, 3), 0): (0.7757088995163084, 0.012315574822476583,
+                      1.5278946288611377, 0.0008585592485883531),
+        ((3, 3), 1): (0.7197047052355927, 0.041286104642083155,
+                      1.6247033281605248, 0.00036245191061290427),
+    }
+
+    @pytest.mark.parametrize("dims,i", sorted(PINNED))
+    def test_trajectory_pinned(self, dims, i):
+        tag = 71 if dims == (2, 3) else 73
+        rho = haar_random_mixed(dims, 3, np.random.SeedSequence((tag, i)))
+        got = []
+        for direction in (Direction.MIN, Direction.MAX):
+            res = optimize_roof(
+                rho, CUT2,
+                RoofConfig(restarts=4, max_iters=40, seed=3 + i, direction=direction),
+            )
+            got += [res.value, res.restart_spread]
+        assert got == pytest.approx(self.PINNED[dims, i], rel=1e-12, abs=0.0)
