@@ -98,11 +98,6 @@ class AnalysisResult:
     screnoa: MeasureVector
 
 
-def _measure_or_roof(rho, cut, roof_config, maximize: bool) -> float:
-    fn = screnoa if maximize else scren
-    return fn(rho, cut, roof_config).value
-
-
 def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
             sort_values: bool = False, include_tails: bool = False) -> AnalysisResult:
     """Measure vectors of ``psi`` with A = subsystem 0 and B_j the others.
@@ -129,8 +124,8 @@ def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
             tangle, toa = two_qubit_tangle_and_toa(marg)
         else:
             cut = Bipartition.split(2, (0,))
-            tangle = _measure_or_roof(marg, cut, roof_config, maximize=False)
-            toa = _measure_or_roof(marg, cut, roof_config, maximize=True)
+            tangle = scren(marg, cut, roof_config).value
+            toa = screnoa(marg, cut, roof_config).value
         scren_vals.append(tangle)
         screnoa_vals.append(toa)
 
@@ -151,7 +146,7 @@ def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
             keep = (0,) + tuple(sorted(p + 1 for p in tail_pos))
             reduced = partial_trace(rho, keep)
             cut = Bipartition.split(len(keep), (0,))
-            tails.append(_measure_or_roof(reduced, cut, roof_config, maximize=True))
+            tails.append(screnoa(reduced, cut, roof_config).value)
 
     return AnalysisResult(
         scren=MeasureVector(
@@ -504,6 +499,8 @@ def campaign_config_dict(config: CampaignConfig) -> dict:
             "max_iters": config.roof.max_iters,
             "step_tolerance": config.roof.step_tolerance,
             "seed": config.roof.seed,
+            "value_floor": config.roof.value_floor,
+            "squared_tolerance": config.roof.squared_tolerance,
         },
     }
 

@@ -135,21 +135,9 @@ def spin_flip_mus(rho: DensityMatrix) -> np.ndarray:
     return np.sqrt(np.sort(w)[::-1])
 
 
-def two_qubit_tangle(rho: DensityMatrix) -> float:
-    """Exact two-qubit tangle ``max(0, mu1 - mu2 - mu3 - mu4)^2``."""
-    mu = spin_flip_mus(rho)
-    c = max(0.0, float(mu[0] - mu[1:].sum()))
-    return c * c
-
-
-def two_qubit_toa(rho: DensityMatrix) -> float:
-    """Exact two-qubit tangle of assistance ``(mu1 + mu2 + mu3 + mu4)^2``."""
-    mu = spin_flip_mus(rho)
-    return float(mu.sum()) ** 2
-
-
 def two_qubit_tangle_and_toa(rho: DensityMatrix) -> tuple[float, float]:
-    """Both closed forms from a single spin-flip spectrum."""
+    """Exact two-qubit tangle ``max(0, mu1 - mu2 - mu3 - mu4)^2`` and tangle
+    of assistance ``(mu1 + mu2 + mu3 + mu4)^2``, from one spin-flip spectrum."""
     mu = spin_flip_mus(rho)
     c = max(0.0, float(mu[0] - mu[1:].sum()))
     return c * c, float(mu.sum()) ** 2
@@ -194,7 +182,7 @@ def scren(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None
     if psi is not None:
         return MeasureValue(pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
     if rho.dims == (2, 2):
-        return MeasureValue(two_qubit_tangle(rho), Method.TWO_QUBIT_CLOSED_FORM, 0.0)
+        return MeasureValue(two_qubit_tangle_and_toa(rho)[0], Method.TWO_QUBIT_CLOSED_FORM, 0.0)
     return _roof_measure(rho, cut, config, Direction.MIN)
 
 
@@ -209,5 +197,5 @@ def screnoa(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = No
     if psi is not None:
         return MeasureValue(pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
     if rho.dims == (2, 2):
-        return MeasureValue(two_qubit_toa(rho), Method.TWO_QUBIT_CLOSED_FORM, 0.0)
+        return MeasureValue(two_qubit_tangle_and_toa(rho)[1], Method.TWO_QUBIT_CLOSED_FORM, 0.0)
     return _roof_measure(rho, cut, config, Direction.MAX)

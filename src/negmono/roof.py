@@ -7,9 +7,7 @@ built from the eigendecomposition ``{q_j, |phi_j>}``.  The roof value is
 the min (or max) over V of ``sum_k p_k N(|psi_k>)``, searched by local
 moves in the row space of V: generic cuts use derivative-free pairwise
 rotations with step control, while 2x2-by-2x2 cuts get closed-form
-per-pair solves (a Takagi factorization of the pair's determinant form),
-searched per-column-phase solves, and random-direction escapes from the
-kinked block-optimal points this objective is prone to.
+per-pair solves (a Takagi factorization of the pair's determinant form).
 
 The generic search is bound by per-call overhead on tiny arrays, so it
 batches its candidates into at most two objective calls per row pair,
@@ -48,8 +46,10 @@ class RoofConfig:
 
     ``cardinality`` is the decomposition size m (defaults to min(r*r, 16),
     never below the rank r).  ``max_iters`` caps coordinate sweeps per
-    restart; the search otherwise stops once the trial rotation angle
-    shrinks below ``step_tolerance``.  A nonzero ``value_floor`` lets a
+    restart.  ``step_tolerance`` governs only the generic search, which
+    otherwise stops once its trial rotation angle shrinks below it; the
+    exact pair search of 2x2-by-2x2 cuts has no step to shrink and stops
+    on a sweep's gain instead.  A nonzero ``value_floor`` lets a
     minimization return as soon as the mean negativity drops below it
     (the result is an upper bound on the infimum either way, so callers
     that only need the value to that precision can save the extra work).
@@ -254,98 +254,22 @@ def _solve_pair(di: complex, dj: complex, b: complex,
     return val, theta, phi
 
 
-def _solve_phase(coeffs: list[tuple[complex, complex, complex]], minimize: bool,
-                 tol: float) -> tuple[float, float]:
-    """Optimize ``sum_k |a_k + b_k e^(i gamma) + c_k e^(2 i gamma)|`` over gamma.
-
-    This is the objective restricted to one column phase of V (the
-    relative phase of one eigenvector's contribution to every member),
-    a direction pair rotations do not span.
-    """
-    sign = 1.0 if minimize else -1.0
-    cos, sin = math.cos, math.sin
-
-    def g(gamma: float) -> float:
-        w = complex(cos(gamma), sin(gamma))
-        w2 = w * w
-        return sign * sum(abs(a + b * w + c * w2) for a, b, c in coeffs)
-
-    val = g(0.0)
-    gamma = 0.0
-    for t in range(1, 24):
-        gm = t * math.pi / 12.0
-        v = g(gm)
-        if v < val:
-            val, gamma = v, gm
-    d_gamma = math.pi / 12.0
-    while d_gamma > tol:
-        for g2 in (gamma + d_gamma, gamma - d_gamma):
-            v2 = g(g2)
-            if v2 < val - _IMPROVE_EPS:
-                val, gamma = v2, g2
-        d_gamma *= 0.6
-    return sign * val, gamma
-
-
-def _random_unitary_line(m: int, rng: np.random.Generator):
-    """A one-parameter unitary family t -> exp(-i t H) through a random
-    direction of the full tangent space (pairs and phases mixed)."""
-    h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    h = (h + h.conj().T) / 2.0
-    w, u = np.linalg.eigh(h)
-    w = w / np.abs(w).max()
-
-    def at(t: float) -> np.ndarray:
-        return (u * np.exp(-1j * t * w)) @ u.conj().T
-
-    return at
-
-
-def _kink_escape(obj: _Objective, V: np.ndarray, val: float, cfg: RoofConfig,
-                 rng: np.random.Generator, probes: int = 28) -> tuple[bool, np.ndarray]:
-    """Escape non-smooth block-optimal points of the det-mode objective.
-
-    Where some member determinant sits at the kink of |.|, the descent
-    cone can avoid every pair plane and column phase while still being
-    open to mixed directions; random full-tangent line probes find it.
-    Returns (escaped, V).
-    """
-    minimize = cfg.direction is Direction.MIN
-    sign = 1.0 if minimize else -1.0
-    m = V.shape[0]
-    p0, p1, p2, p3 = obj.perm_flat
-    rows0 = obj.rows_of(V)
-    fro = float(np.real((rows0 * rows0.conj()).sum()))
-
-    def f_of(rows) -> float:
-        tot = fro - 1.0
-        for k in range(m):
-            r_ = rows[k]
-            tot += 2.0 * abs(r_[p0] * r_[p3] - r_[p1] * r_[p2])
-        return tot
-
-    for scale in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003, 0.0001):
-        for _ in range(probes):
-            line = _random_unitary_line(m, rng)
-            t = scale
-            g = line(t)
-            if sign * (f_of(g @ rows0) - val) < -1e-13:
-                # expand along the improving direction while it helps
-                best_t = t
-                best_f = f_of(g @ rows0)
-                while True:
-                    t *= 2.0
-                    trial = f_of(line(t) @ rows0)
-                    if sign * (trial - best_f) < -1e-15 and t < 2.0:
-                        best_t, best_f = t, trial
-                    else:
-                        break
-                return True, _reorthonormalize(line(best_t) @ V)
-    return False, V
-
-
 def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple[float, np.ndarray]:
-    """Block-coordinate descent with exact per-pair solves (det_mode cuts)."""
+    """Block-coordinate descent with exact per-pair solves (det_mode cuts).
+
+    Each sweep moves every row pair (i, j) of V to the exact optimum of
+    ``|det_i| + |det_j|`` over the pair's whole rotation plane
+    (``_solve_pair``); the Frobenius part of the objective is invariant,
+    and so are row phases.  Pair rotations and row phases generate U(m),
+    which acts transitively on the isometries, so no other move is needed
+    to reach every decomposition: a column phase of V, for one, is a
+    composite of these moves.  The sweeps can still stall at points that
+    are optimal in every pair plane but not overall, such as kinks where
+    a determinant sits at 0; the restarts and perturbation hops of
+    :func:`optimize_roof` leave those, and the oracle tests check the
+    result against the two-qubit closed forms.  The search stops once a
+    sweep gains less than ``max(1e-12, value_slack / 16)``.
+    """
     minimize = cfg.direction is Direction.MIN
     sign = 1.0 if minimize else -1.0
     m = V.shape[0]
@@ -374,84 +298,42 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
         dets[:] = [det_of(rows[k]) for k in range(m)]
         fro = float(np.real((rows * rows.conj()).sum()))
 
-    # pair solves are exact; the coarse stage drives the collective
-    # alignment with cheap column-phase solves, the polish stage refines
-    # the phases at full angle resolution
-    stages = (
-        (max(cfg.step_tolerance, 1e-3), 1e-9),
-        (cfg.step_tolerance, 1e-12),
-    )
-    r = V.shape[1]
-    base_cols = [obj.base[:, j].copy() for j in range(r)]
-    base_dets = [det_of(col) for col in base_cols]
-
-    def column_phase_move(tol: float) -> float:
-        """One pass of exact column-phase solves; returns the gain."""
-        nonlocal rows
-        gained = 0.0
-        for j in range(r):
-            col = base_cols[j]
-            coeffs = []
-            for k in range(m):
-                vkj = complex(V[k, j])
-                x = rows[k] - vkj * col
-                coeffs.append((det_of(x), vkj * cross_of(x, col), vkj * vkj * base_dets[j]))
-            val, gamma = _solve_phase(coeffs, minimize, tol)
-            before = sum(abs(d) for d in dets)
-            delta = val - before
-            if sign * delta >= -_IMPROVE_EPS:
-                continue
-            phase = complex(math.cos(gamma), math.sin(gamma))
-            V[:, j] *= phase
-            rows = rows + np.outer(V[:, j] * (1.0 - 1.0 / phase), col)
-            for k in range(m):
-                dets[k] = det_of(rows[k])
-            gained -= sign * 2.0 * delta
-        return gained
-
-    sweeps = 0
-    for tol, gain_floor in stages:
-        version = [0] * m
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        while sweeps < cfg.max_iters:
-            if minimize and value() <= cfg.min_floor:
-                return value(), V
-            # a caller-declared squared tolerance caps the useful
-            # per-sweep resolution; grinding below it buys nothing
-            gain_floor_now = max(gain_floor, cfg.value_slack(value()) / 16.0)
-            sweeps += 1
-            gain = 0.0
-            for i in range(m - 1):
-                for j in range(i + 1, m):
-                    # skip pairs whose rows have not moved since their last
-                    # fruitless solve (Jacobi-style staleness)
-                    if seen.get((i, j)) == (version[i], version[j]):
-                        continue
-                    di, dj = dets[i], dets[j]
-                    b = cross_of(rows[i], rows[j])
-                    val, theta, phi = _solve_pair(di, dj, b, minimize)
-                    delta = val - (abs(di) + abs(dj))
-                    if sign * delta >= -_IMPROVE_EPS:
-                        seen[(i, j)] = (version[i], version[j])
-                        continue
-                    c, s = math.cos(theta), math.sin(theta)
-                    w = complex(math.cos(phi), math.sin(phi))
-                    block = np.array([[c, s * w], [-s * np.conj(w), c]])
-                    V[(i, j), :] = block @ V[(i, j), :]
-                    rows[(i, j), :] = block @ rows[(i, j), :]
-                    dets[i] = det_of(rows[i])
-                    dets[j] = det_of(rows[j])
-                    version[i] += 1
-                    version[j] += 1
-                    gain -= sign * 2.0 * delta
-            phase_gain = column_phase_move(tol)
-            if phase_gain > 0.0:
-                gain += phase_gain
-                version = [v + 1 for v in version]
-            if gain > 0.0:
-                refresh()
-            if gain < gain_floor_now:
-                break
+    version = [0] * m
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+    for _ in range(cfg.max_iters):
+        if minimize and value() <= cfg.min_floor:
+            break
+        # a caller-declared squared tolerance caps the useful per-sweep
+        # resolution; grinding below it buys nothing
+        gain_floor = max(1e-12, cfg.value_slack(value()) / 16.0)
+        gain = 0.0
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                # skip pairs whose rows have not moved since their last
+                # fruitless solve (Jacobi-style staleness)
+                if seen.get((i, j)) == (version[i], version[j]):
+                    continue
+                di, dj = dets[i], dets[j]
+                b = cross_of(rows[i], rows[j])
+                val, theta, phi = _solve_pair(di, dj, b, minimize)
+                delta = val - (abs(di) + abs(dj))
+                if sign * delta >= -_IMPROVE_EPS:
+                    seen[(i, j)] = (version[i], version[j])
+                    continue
+                c, s = math.cos(theta), math.sin(theta)
+                w = complex(math.cos(phi), math.sin(phi))
+                block = np.array([[c, s * w], [-s * np.conj(w), c]])
+                V[(i, j), :] = block @ V[(i, j), :]
+                rows[(i, j), :] = block @ rows[(i, j), :]
+                dets[i] = det_of(rows[i])
+                dets[j] = det_of(rows[j])
+                version[i] += 1
+                version[j] += 1
+                gain -= sign * 2.0 * delta
+        if gain > 0.0:
+            refresh()
+        if gain < gain_floor:
+            break
     return value(), V
 
 
@@ -581,30 +463,6 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
     return total - 1.0, V
 
 
-def _search_one(obj: _Objective, v0: np.ndarray, cfg: RoofConfig,
-                rng: np.random.Generator, probes: int = 28) -> tuple[float, np.ndarray]:
-    """One local search: block descent, plus kink escapes in det mode."""
-    if not obj.det_mode:
-        return _coordinate_search(obj, v0, cfg)
-    minimize = cfg.direction is Direction.MIN
-    val, V = _pair_exact_search(obj, v0, cfg)
-    recent = []
-    for _ in range(25):
-        if minimize and val <= cfg.min_floor:
-            break
-        escaped, V = _kink_escape(obj, V, val, cfg, rng, probes)
-        if not escaped:
-            break
-        prev = val
-        val, V = _pair_exact_search(obj, V, cfg)
-        recent.append(abs(val - prev))
-        # escapes that stop paying off signal a plateau; leave the rest
-        # of the budget to fresh restarts
-        if len(recent) >= 3 and sum(recent[-3:]) < max(1e-10, cfg.value_slack(val) / 8.0):
-            break
-    return val, V
-
-
 _HOP_ANGLES = (0.08, 0.2, 0.45)
 
 
@@ -647,6 +505,7 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
         if m < r:
             raise ValueError(f"cardinality {m} below rank {r}")
     minimize = cfg.direction is Direction.MIN
+    search = _pair_exact_search if obj.det_mode else _coordinate_search
     n_independent = max(1, (cfg.restarts + 1) // 2)
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -664,9 +523,7 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
             v0 = _haar_isometry(m, r, rng)
         else:
             v0 = _perturb(best_v, rng, _HOP_ANGLES[t % len(_HOP_ANGLES)])
-        # glassy instances get deeper escape probing once the cheap
-        # phase fails to produce agreement
-        val, v_opt = _search_one(obj, v0, cfg, rng, probes=28 if t < 4 else 48)
+        val, v_opt = search(obj, v0, cfg)
         per_restart.append(val)
         if best_val is None or (val < best_val if minimize else val > best_val):
             best_val = val

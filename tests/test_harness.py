@@ -190,6 +190,12 @@ class TestCampaign:
 
         rebuilt = campaign_config_from_dict(campaign_config_dict(cfg))
         assert rebuilt == cfg
+        # every roof field is echoed, the precision knobs included
+        cfg = self.small_config(
+            roof=RoofConfig(restarts=3, value_floor=6e-4, squared_tolerance=5e-7)
+        )
+        data = json.loads(json.dumps(campaign_config_dict(cfg)))
+        assert campaign_config_from_dict(data) == cfg
 
 
 class TestEmission:

@@ -17,9 +17,7 @@ from negmono import (
     scren,
     screnoa,
     tensor,
-    two_qubit_tangle,
     two_qubit_tangle_and_toa,
-    two_qubit_toa,
 )
 from negmono.harness import builtin_state
 from negmono.measures import spin_flip_mus
@@ -103,30 +101,37 @@ class TestPureScren:
 class TestTwoQubitClosedForms:
     def test_ghz_marginal(self):
         red = marginal(builtin_state("ghz3"))
-        assert two_qubit_tangle(red) == 0.0
+        tangle, toa = two_qubit_tangle_and_toa(red)
+        assert tangle == 0.0
         # spin-flip spectrum of the diagonal 1/2,1/2 mixture is (1/2, 1/2, 0, 0)
         assert np.allclose(spin_flip_mus(red), [0.5, 0.5, 0, 0], atol=1e-10)
-        assert abs(two_qubit_toa(red) - 1.0) < 1e-12
+        assert abs(toa - 1.0) < 1e-12
 
     def test_w_marginal(self):
         red = marginal(builtin_state("w3"))
-        assert abs(two_qubit_tangle(red) - 4 / 9) < 1e-12
+        assert abs(two_qubit_tangle_and_toa(red)[0] - 4 / 9) < 1e-12
 
     def test_bell_pure(self):
-        rho = density(builtin_state("bell"))
-        assert abs(two_qubit_tangle(rho) - 1.0) < 1e-12
-        assert abs(two_qubit_toa(rho) - 1.0) < 1e-12
+        tangle, toa = two_qubit_tangle_and_toa(density(builtin_state("bell")))
+        assert abs(tangle - 1.0) < 1e-12
+        assert abs(toa - 1.0) < 1e-12
 
     def test_product_pure(self):
         rho = density(tensor(haar_random_pure((2,), 1), haar_random_pure((2,), 2)))
-        assert two_qubit_tangle(rho) < 1e-12
-        assert two_qubit_toa(rho) < 1e-12
+        tangle, toa = two_qubit_tangle_and_toa(rho)
+        assert tangle < 1e-12
+        assert toa < 1e-12
 
     def test_combined_helper_matches(self):
         red = haar_random_mixed((2, 2), 4, 31)
         tangle, toa = two_qubit_tangle_and_toa(red)
-        assert tangle == two_qubit_tangle(red)
-        assert toa == two_qubit_toa(red)
+        mu = spin_flip_mus(red)
+        c = max(0.0, float(mu[0] - mu[1:].sum()))
+        assert tangle == c * c
+        assert toa == float(mu.sum()) ** 2
+        # the measure entry points take their closed forms from it, bit for bit
+        assert scren(red, CUT2).value == tangle
+        assert screnoa(red, CUT2).value == toa
 
     def test_pure_states_agree_with_tangle(self):
         # the non-normal eigensolve behind the spin flip carries sqrt-level
@@ -134,11 +139,12 @@ class TestTwoQubitClosedForms:
         rng = np.random.default_rng(71)
         for _ in range(20):
             psi = haar_random_pure((2, 2), rng.integers(1 << 31))
-            assert abs(two_qubit_tangle(density(psi)) - pure_tangle(psi, CUT2)) < 5e-8
+            tangle = two_qubit_tangle_and_toa(density(psi))[0]
+            assert abs(tangle - pure_tangle(psi, CUT2)) < 5e-8
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
-            two_qubit_tangle(density(haar_random_pure((2, 3), 1)))
+            two_qubit_tangle_and_toa(density(haar_random_pure((2, 3), 1)))
 
 
 class TestScrenDispatch:

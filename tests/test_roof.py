@@ -128,7 +128,7 @@ class TestOptimizeRoof:
             res = optimize_roof(rho, cut, RoofConfig(restarts=2, seed=1, direction=direction))
             assert abs(res.value - neg) < 1e-10
 
-    @pytest.mark.parametrize("env", [2, 4])
+    @pytest.mark.parametrize("env", [2, 3, 4])
     def test_matches_closed_forms(self, env):
         worst_min = worst_max = 0.0
         for i in range(12):
