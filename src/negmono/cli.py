@@ -21,11 +21,7 @@ from .harness import (
     analyze,
     builtin_state,
     campaign_config_from_dict,
-    campaign_report_csv,
-    campaign_report_json,
     emit_report,
-    relation_reports_to_csv,
-    relation_reports_to_json,
     run_campaign,
     sweep,
 )
@@ -111,7 +107,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=_parse_k, default=None)
     p.add_argument("--sort-values", dest="sort_values", action="store_true", default=None)
     p.add_argument("--no-sort-values", dest="sort_values", action="store_false")
-    p.add_argument("--shards", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     _add_roof_args(p)
@@ -145,12 +140,7 @@ def _cmd_sweep(args) -> int:
         psi, args.relation, args.alphas, args.k,
         sort_values=args.sort_values, roof_config=_roof_from_args(args),
     )
-    if args.out:
-        emit_report(reports, args.format, args.out)
-    else:
-        text = (relation_reports_to_json(reports) if args.format == "json"
-                else relation_reports_to_csv(reports))
-        sys.stdout.write(text)
+    emit_report(reports, args.format, args.out)
     return 2 if any(r.satisfied is False for r in reports) else 0
 
 
@@ -167,7 +157,6 @@ def _cmd_campaign(args) -> int:
         "relations": [r.value for r in args.relations] if args.relations else None,
         "k_policy": args.k,
         "sort_values": args.sort_values,
-        "shards": args.shards,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -180,12 +169,7 @@ def _cmd_campaign(args) -> int:
         }
     config = campaign_config_from_dict(base)
     report = run_campaign(config)
-    if args.out:
-        emit_report(report, args.format, args.out)
-    else:
-        text = (campaign_report_json(report) if args.format == "json"
-                else campaign_report_csv(report))
-        sys.stdout.write(text)
+    emit_report(report, args.format, args.out)
     evaluated = sum(s.evaluated for s in report.stats)
     print(
         f"campaign: {config.samples} samples, {evaluated} evaluations, "

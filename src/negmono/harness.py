@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -182,6 +183,11 @@ def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
     return [evaluate_relation(mv, relation, float(a), k_policy) for a in alphas]
 
 
+def _grid_for(relation: RelationId, alphas) -> list[float]:
+    rng = REGISTRY[relation].alpha_range
+    return [a for a in alphas if rng.contains(a)]
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     dims: tuple[int, ...] = (2, 2, 2, 2)
@@ -192,18 +198,28 @@ class CampaignConfig:
     k_policy: float | str = "auto"
     sort_values: bool = True
     roof: RoofConfig = field(default_factory=RoofConfig)
-    shards: int = 1
 
     def __post_init__(self):
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if not self.relations:
             raise ValueError("at least one relation is required")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "relations", tuple(self.relations))
+        if not all(math.isfinite(a) for a in self.alphas):
+            raise ValueError(f"alphas must be finite, got {list(self.alphas)}")
+        # a repeated alpha or relation would count each sample twice
+        for name in ("alphas", "relations"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} must not repeat")
+        for rid in self.relations:
+            if not _grid_for(rid, self.alphas):
+                raise ValueError(
+                    f"no alpha in the range of {rid.value} ({REGISTRY[rid].alpha_range.value})"
+                )
 
 
 @dataclass
@@ -220,7 +236,6 @@ class RelationStats:
     def mean_tightness_delta(self) -> float | None:
         if not self._tightness_values:
             return None
-        # error-free summation keeps the mean independent of shard layout
         return math.fsum(self._tightness_values) / len(self._tightness_values)
 
     def absorb(self, rep: RelationReport) -> None:
@@ -234,14 +249,6 @@ class RelationStats:
                 self.worst_gap = rep.gap
             if rep.tightness_delta is not None:
                 self._tightness_values.append(rep.tightness_delta)
-
-    def merge(self, other: "RelationStats") -> None:
-        self.evaluated += other.evaluated
-        self.condition_pass += other.condition_pass
-        self.violations += other.violations
-        if other.worst_gap is not None and (self.worst_gap is None or other.worst_gap < self.worst_gap):
-            self.worst_gap = other.worst_gap
-        self._tightness_values.extend(other._tightness_values)
 
 
 @dataclass
@@ -279,14 +286,6 @@ class BaselineStats:
         if self.polygamy_worst_gap is None or poly_gap < self.polygamy_worst_gap:
             self.polygamy_worst_gap = poly_gap
 
-    def merge(self, other: "BaselineStats") -> None:
-        self.ckw_violations += other.ckw_violations
-        self.polygamy_violations += other.polygamy_violations
-        for attr in ("ckw_worst_gap", "polygamy_worst_gap"):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            if theirs is not None and (mine is None or theirs < mine):
-                setattr(self, attr, theirs)
-
 
 @dataclass
 class CampaignReport:
@@ -305,17 +304,19 @@ class CampaignReport:
 
 
 def sample_state(config: CampaignConfig, index: int) -> PureState:
-    """The exact state of sample ``index``, independent of sharding."""
+    """The exact state of sample ``index``: a Haar draw from the stream
+    keyed on (seed, index), independent of every other sample."""
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
     return haar_random_pure(config.dims, seq)
 
 
-def _grid_for(relation: RelationId, alphas) -> list[float]:
-    rng = REGISTRY[relation].alpha_range
-    return [a for a in alphas if rng.contains(a)]
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """Evaluate the configured relations over a seeded Haar ensemble.
 
-
-def _run_shard(config: CampaignConfig, start: int, stop: int, needs_tails: bool):
+    Deterministic given the config: each sample is drawn from a stream
+    keyed on (seed, sample index), and samples run in index order.
+    """
+    needs_tails = RelationId.MONO_LADDER_NEG_COLLECTIVE in config.relations
     stats = {
         (rid, a): RelationStats(rid, a)
         for rid in config.relations
@@ -323,7 +324,7 @@ def _run_shard(config: CampaignConfig, start: int, stop: int, needs_tails: bool)
     }
     baseline = BaselineStats()
     violations: list[ViolationRecord] = []
-    for i in range(start, stop):
+    for i in range(config.samples):
         psi = sample_state(config, i)
         result = analyze(
             psi, config.roof, sort_values=config.sort_values, include_tails=needs_tails
@@ -338,42 +339,11 @@ def _run_shard(config: CampaignConfig, start: int, stop: int, needs_tails: bool)
                     violations.append(
                         ViolationRecord(rid, alpha, i, rep.gap, mv.lhs, mv.values)
                     )
-    return stats, baseline, violations
-
-
-def run_campaign(config: CampaignConfig) -> CampaignReport:
-    """Evaluate the configured relations over a seeded Haar ensemble.
-
-    Deterministic given the config: each sample is drawn from a stream
-    keyed on (seed, sample index), so sharding cannot change any state and
-    shard results merge in index order.
-    """
-    needs_tails = RelationId.MONO_LADDER_NEG_COLLECTIVE in config.relations
-    bounds = np.linspace(0, config.samples, config.shards + 1).astype(int)
-    merged_stats = None
-    merged_baseline = BaselineStats()
-    merged_violations: list[ViolationRecord] = []
-    for s in range(config.shards):
-        stats, baseline, violations = _run_shard(
-            config, int(bounds[s]), int(bounds[s + 1]), needs_tails
-        )
-        if merged_stats is None:
-            merged_stats = stats
-        else:
-            for key, st in stats.items():
-                merged_stats[key].merge(st)
-        merged_baseline.merge(baseline)
-        merged_violations.extend(violations)
-    ordered = [
-        merged_stats[(rid, a)]
-        for rid in config.relations
-        for a in _grid_for(rid, config.alphas)
-    ]
     return CampaignReport(
         config=config,
-        stats=ordered,
-        baseline=merged_baseline,
-        violations=merged_violations,
+        stats=list(stats.values()),
+        baseline=baseline,
+        violations=violations,
     )
 
 
@@ -492,7 +462,6 @@ def campaign_config_dict(config: CampaignConfig) -> dict:
         "relations": [r.value for r in config.relations],
         "k_policy": config.k_policy,
         "sort_values": config.sort_values,
-        "shards": config.shards,
         "roof": {
             "cardinality": config.roof.cardinality,
             "restarts": config.roof.restarts,
@@ -505,8 +474,18 @@ def campaign_config_dict(config: CampaignConfig) -> dict:
     }
 
 
+def _reject_unknown_keys(data: dict, cls, where: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def campaign_config_from_dict(data: dict) -> CampaignConfig:
+    """Inverse of :func:`campaign_config_dict`; unknown keys raise
+    ``ValueError`` and ``roof.direction`` is ignored."""
+    _reject_unknown_keys(data, CampaignConfig, "campaign config")
     roof_data = dict(data.get("roof", {}))
+    _reject_unknown_keys(roof_data, RoofConfig, "roof config")
     roof_data.pop("direction", None)  # direction is chosen per measure
     roof = RoofConfig(**roof_data) if roof_data else RoofConfig()
     kwargs = {k: v for k, v in data.items() if k != "roof"}
@@ -583,8 +562,9 @@ def campaign_report_csv(report: CampaignReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(obj, fmt: str, path) -> None:
-    """Write a campaign report or a list of relation reports to disk.
+def emit_report(obj, fmt: str, path=None) -> None:
+    """Write a campaign report or a list of relation reports to ``path``,
+    or to stdout when ``path`` is None.
 
     Field order is fixed and floats carry 17 significant digits, so
     rerunning an identical configuration reproduces the file byte for
@@ -598,6 +578,9 @@ def emit_report(obj, fmt: str, path) -> None:
         text = relation_reports_to_json(obj) if fmt == "json" else relation_reports_to_csv(obj)
     else:
         raise TypeError(f"cannot emit {type(obj)}")
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 

@@ -158,10 +158,25 @@ def _squared_gap(value_pre: float, spread: float, direction: Direction) -> float
     return value_pre**2 - low**2
 
 
-def _roof_measure(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None,
+def _squared_roof(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None,
                   direction: Direction) -> MeasureValue:
-    cfg = replace(config or RoofConfig(), direction=direction)
-    res = optimize_roof(rho, cut, cfg)
+    """SCREN (``Direction.MIN``) or SCRENoA (``Direction.MAX``) of ``rho``.
+
+    Dispatch: pure inputs use the pure-state formula, two-qubit states the
+    Wootters closed forms, everything else the roof optimizer.  The
+    optimizer value is an upper bound on the true roof for MIN and a lower
+    bound for MAX; restart disagreement is reported in ``certified_gap``,
+    never silently.
+    """
+    cut.validate(rho.n_factors)
+    psi = _dominant_pure_state(rho)
+    if psi is not None:
+        return MeasureValue(pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
+    if rho.dims == (2, 2):
+        tangle, toa = two_qubit_tangle_and_toa(rho)
+        value = tangle if direction is Direction.MIN else toa
+        return MeasureValue(value, Method.TWO_QUBIT_CLOSED_FORM, 0.0)
+    res = optimize_roof(rho, cut, replace(config or RoofConfig(), direction=direction))
     return MeasureValue(
         value=res.value**2,
         method=Method.ROOF_OPTIMIZER,
@@ -170,32 +185,10 @@ def _roof_measure(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | Non
 
 
 def scren(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None) -> MeasureValue:
-    """Squared convex-roof extended negativity of ``rho`` across ``cut``.
-
-    Dispatch: pure inputs use the pure-state formula, two-qubit states the
-    Wootters closed form, everything else the roof minimizer.  The
-    optimizer value is an upper bound on the true infimum; restart
-    disagreement is reported in ``certified_gap``, never silently.
-    """
-    cut.validate(rho.n_factors)
-    psi = _dominant_pure_state(rho)
-    if psi is not None:
-        return MeasureValue(pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
-    if rho.dims == (2, 2):
-        return MeasureValue(two_qubit_tangle_and_toa(rho)[0], Method.TWO_QUBIT_CLOSED_FORM, 0.0)
-    return _roof_measure(rho, cut, config, Direction.MIN)
+    """Squared convex-roof extended negativity of ``rho`` across ``cut``."""
+    return _squared_roof(rho, cut, config, Direction.MIN)
 
 
 def screnoa(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None) -> MeasureValue:
-    """Squared concave-roof (of-assistance) counterpart of :func:`scren`.
-
-    Same dispatch; the optimizer value is a lower bound on the true
-    supremum.
-    """
-    cut.validate(rho.n_factors)
-    psi = _dominant_pure_state(rho)
-    if psi is not None:
-        return MeasureValue(pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
-    if rho.dims == (2, 2):
-        return MeasureValue(two_qubit_tangle_and_toa(rho)[1], Method.TWO_QUBIT_CLOSED_FORM, 0.0)
-    return _roof_measure(rho, cut, config, Direction.MAX)
+    """Squared concave-roof (of-assistance) counterpart of :func:`scren`."""
+    return _squared_roof(rho, cut, config, Direction.MAX)

@@ -75,7 +75,6 @@ def four_qubit_campaign():
         relations=CAMPAIGN_RELATIONS,
         k_policy="auto",
         sort_values=True,
-        shards=1,
     )
     start = time.perf_counter()
     report = run_campaign(config)
@@ -92,7 +91,6 @@ def five_qubit_campaign():
         relations=CAMPAIGN_RELATIONS,
         k_policy="auto",
         sort_values=True,
-        shards=1,
     )
     start = time.perf_counter()
     report = run_campaign(config)

@@ -143,7 +143,6 @@ class TestCampaign:
             k_policy="auto",
             sort_values=True,
             roof=LIGHT_ROOF,
-            shards=1,
         )
         base.update(over)
         return CampaignConfig(**base)
@@ -170,15 +169,6 @@ class TestCampaign:
         b = run_campaign(self.small_config())
         assert report_sha256(a) == report_sha256(b)
 
-    def test_shards_equal_unsharded(self):
-        from negmono.harness import campaign_report_dict
-
-        a = campaign_report_dict(run_campaign(self.small_config(shards=1)))
-        b = campaign_report_dict(run_campaign(self.small_config(shards=3)))
-        # results identical; only the config echo records the shard count
-        for key in ("relations", "violations", "baseline"):
-            assert a[key] == b[key]
-
     def test_sample_state_shard_independent(self):
         cfg = self.small_config()
         psi_again = sample_state(cfg, 17)
@@ -196,6 +186,28 @@ class TestCampaign:
         )
         data = json.loads(json.dumps(campaign_config_dict(cfg)))
         assert campaign_config_from_dict(data) == cfg
+
+    def test_config_from_dict_names_unknown_keys(self):
+        with pytest.raises(ValueError, match="shards"):
+            campaign_config_from_dict({"samples": 3, "shards": 1})
+        with pytest.raises(ValueError, match="bogus"):
+            campaign_config_from_dict({"roof": {"restarts": 2, "bogus": 1}})
+        # the roof direction is chosen per measure, so an echoed one is ignored
+        cfg = campaign_config_from_dict({"roof": {"restarts": 2, "direction": "max"}})
+        assert cfg.roof == RoofConfig(restarts=2)
+
+    @pytest.mark.parametrize("over", [
+        dict(samples=2.7),
+        dict(samples=True),
+        dict(alphas=(1.0, float("nan"))),
+        dict(alphas=(1.0, float("inf"))),
+        dict(alphas=(2.0, 2.0)),
+        dict(relations=(RelationId.MONO_HAMMING, RelationId.MONO_HAMMING)),
+        dict(alphas=(0.5,), relations=(RelationId.MONO_HAMMING,)),
+    ])
+    def test_invalid_config_rejected(self, over):
+        with pytest.raises(ValueError):
+            self.small_config(**over)
 
 
 class TestEmission:
@@ -296,6 +308,28 @@ class TestCli:
             "sort_values": True,
         }))
         assert cli_main(["campaign", "--config", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("config", [
+        {"samples": 5, "shards": 1},
+        {"samples": 5, "bogus": 1},
+        {"samples": 5, "roof": {"restarts": 2, "bogus": 1}},
+        {"samples": 2.7},
+    ])
+    def test_campaign_bad_config_file_exit_one(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dims": [2, 2, 2], **config}))
+        assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    # 0.5 is outside the alpha >= 1 range of mono-hamming
+    @pytest.mark.parametrize("alphas", ["0.5", "nan,1"])
+    def test_campaign_bad_alphas_exit_one(self, capsys, alphas):
+        code = cli_main([
+            "campaign", "--dims", "2,2,2", "--samples", "2",
+            "--alphas", alphas, "--relations", "mono-hamming",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_usage_error_exit_one(self):
         assert cli_main(["sweep", "ghz3", "--relation", "bogus", "--alphas", "1"]) == 1
