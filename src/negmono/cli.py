@@ -149,6 +149,8 @@ def _cmd_campaign(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"campaign config must be a JSON object, got {base!r}")
     overrides = {
         "dims": tuple(int(d) for d in args.dims.split(",")) if args.dims else None,
         "samples": args.samples,

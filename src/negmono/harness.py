@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -183,6 +184,14 @@ def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
     return [evaluate_relation(mv, relation, float(a), k_policy) for a in alphas]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _grid_for(relation: RelationId, alphas) -> list[float]:
     rng = REGISTRY[relation].alpha_range
     return [a for a in alphas if rng.contains(a)]
@@ -200,17 +209,26 @@ class CampaignConfig:
     roof: RoofConfig = field(default_factory=RoofConfig)
 
     def __post_init__(self):
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not self.relations:
-            raise ValueError("at least one relation is required")
+        def need(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        need(_is_int(self.samples) and self.samples >= 1, "samples", "an integer >= 1")
+        need(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        need(isinstance(self.dims, (list, tuple)) and all(_is_int(d) for d in self.dims),
+             "dims", "a list of integers")
+        need(isinstance(self.alphas, (list, tuple))
+             and all(_is_real(a) and math.isfinite(a) for a in self.alphas),
+             "alphas", "a list of finite numbers")
+        need(isinstance(self.relations, (list, tuple)) and len(self.relations) > 0,
+             "relations", "a nonempty list")
+        need(self.k_policy == "auto" or (_is_real(self.k_policy) and 0.0 < self.k_policy <= 1.0),
+             "k_policy", "'auto' or a number in (0, 1]")
+        need(isinstance(self.sort_values, bool), "sort_values", "true or false")
+        need(isinstance(self.roof, RoofConfig), "roof", "a roof config")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if not all(math.isfinite(a) for a in self.alphas):
-            raise ValueError(f"alphas must be finite, got {list(self.alphas)}")
+        object.__setattr__(self, "relations", tuple(RelationId(r) for r in self.relations))
         # a repeated alpha or relation would count each sample twice
         for name in ("alphas", "relations"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
@@ -330,15 +348,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             psi, config.roof, sort_values=config.sort_values, include_tails=needs_tails
         )
         baseline.absorb(result.scren, result.screnoa)
-        for rid in config.relations:
+        for (rid, alpha), st in stats.items():
             mv = vector_for(result, rid)
-            for alpha in _grid_for(rid, config.alphas):
-                rep = evaluate_relation(mv, rid, alpha, config.k_policy)
-                stats[(rid, alpha)].absorb(rep)
-                if rep.satisfied is False:
-                    violations.append(
-                        ViolationRecord(rid, alpha, i, rep.gap, mv.lhs, mv.values)
-                    )
+            rep = evaluate_relation(mv, rid, alpha, config.k_policy)
+            st.absorb(rep)
+            if rep.satisfied is False:
+                violations.append(ViolationRecord(rid, alpha, i, rep.gap, mv.lhs, mv.values))
     return CampaignReport(
         config=config,
         stats=list(stats.values()),
@@ -454,6 +469,8 @@ def relation_reports_from_csv(text: str) -> list[RelationReport]:
 
 
 def campaign_config_dict(config: CampaignConfig) -> dict:
+    """The config as plain JSON values; the roof echoes every
+    :class:`RoofConfig` field but ``direction``, which each measure picks."""
     return {
         "dims": list(config.dims),
         "samples": config.samples,
@@ -463,13 +480,8 @@ def campaign_config_dict(config: CampaignConfig) -> dict:
         "k_policy": config.k_policy,
         "sort_values": config.sort_values,
         "roof": {
-            "cardinality": config.roof.cardinality,
-            "restarts": config.roof.restarts,
-            "max_iters": config.roof.max_iters,
-            "step_tolerance": config.roof.step_tolerance,
-            "seed": config.roof.seed,
-            "value_floor": config.roof.value_floor,
-            "squared_tolerance": config.roof.squared_tolerance,
+            f.name: getattr(config.roof, f.name)
+            for f in fields(RoofConfig) if f.name != "direction"
         },
     }
 
@@ -481,21 +493,16 @@ def _reject_unknown_keys(data: dict, cls, where: str) -> None:
 
 
 def campaign_config_from_dict(data: dict) -> CampaignConfig:
-    """Inverse of :func:`campaign_config_dict`; unknown keys raise
-    ``ValueError`` and ``roof.direction`` is ignored."""
+    """Inverse of :func:`campaign_config_dict`.  Unknown keys and values of
+    the wrong type raise ``ValueError``; ``roof.direction`` is ignored."""
     _reject_unknown_keys(data, CampaignConfig, "campaign config")
-    roof_data = dict(data.get("roof", {}))
+    roof_data = data.get("roof", {})
+    if not isinstance(roof_data, dict):
+        raise ValueError(f"roof must be a JSON object, got {roof_data!r}")
     _reject_unknown_keys(roof_data, RoofConfig, "roof config")
-    roof_data.pop("direction", None)  # direction is chosen per measure
-    roof = RoofConfig(**roof_data) if roof_data else RoofConfig()
-    kwargs = {k: v for k, v in data.items() if k != "roof"}
-    if "relations" in kwargs:
-        kwargs["relations"] = tuple(RelationId(r) for r in kwargs["relations"])
-    if "dims" in kwargs:
-        kwargs["dims"] = tuple(kwargs["dims"])
-    if "alphas" in kwargs:
-        kwargs["alphas"] = tuple(kwargs["alphas"])
-    return CampaignConfig(roof=roof, **kwargs)
+    # direction is chosen per measure
+    roof = RoofConfig(**{k: v for k, v in roof_data.items() if k != "direction"})
+    return CampaignConfig(**{**data, "roof": roof})
 
 
 def campaign_report_dict(report: CampaignReport) -> dict:
@@ -543,22 +550,10 @@ CAMPAIGN_CSV_HEADER = (
 
 
 def campaign_report_csv(report: CampaignReport) -> str:
+    """The ``relations`` rows of :func:`campaign_report_dict`, one per line."""
+    rows = campaign_report_dict(report)["relations"]
     lines = [CAMPAIGN_CSV_HEADER]
-    for s in report.stats:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    s.relation.value,
-                    s.alpha,
-                    s.evaluated,
-                    s.condition_pass,
-                    s.violations,
-                    s.worst_gap,
-                    s.mean_tightness_delta,
-                )
-            )
-        )
+    lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -9,21 +9,25 @@ bounds are tighter wherever their k-conditions hold.
 
 Relation registry
 -----------------
-id                           side   measure   alpha     exponent   base     condition
-mono-hamming                 >=     scren     >= 1      w_H(j)     factor   k-ordering
-mono-ladder                  >=     scren     >= 1      j          factor   k-tail-sum
-poly-hamming                 <=     screnoa   [0, 1]    w_H(j)     factor   k-ordering
-poly-ladder                  <=     screnoa   [0, 1]    j          factor   k-tail-sum
+id                           side   measure   alpha     exponent   weighted  condition
+mono-hamming                 >=     scren     >= 1      w_H(j)     yes       k-ordering
+mono-ladder                  >=     scren     >= 1      j          yes       k-tail-sum
+poly-hamming                 <=     screnoa   [0, 1]    w_H(j)     yes       k-ordering
+poly-ladder                  <=     screnoa   [0, 1]    j          yes       k-tail-sum
 poly-average-neg             <=     scren     < 0       (mean of v_j^alpha) positivity
-mono-hamming-neg             >=     screnoa   < 0       w_H(j)     factor   k-ordering
-mono-ladder-neg              >=     screnoa   < 0       j          factor   k-tail-sum
-mono-ladder-neg-collective   >=     screnoa   < 0       j          factor   k-collective-tail
-mono-hamming-base            >=     scren     >= 1      w_H(j)     alpha    non-increasing
-mono-ladder-base             >=     scren     >= 1      j          alpha    tail-sum at k=1
-poly-hamming-base            <=     screnoa   [0, 1]    w_H(j)     alpha    non-increasing
-poly-ladder-base             <=     screnoa   [0, 1]    j          alpha    tail-sum at k=1
+mono-hamming-neg             >=     screnoa   < 0       w_H(j)     yes       k-ordering
+mono-ladder-neg              >=     screnoa   < 0       j          yes       k-tail-sum
+mono-ladder-neg-collective   >=     screnoa   < 0       j          yes       k-collective-tail
+mono-hamming-base            >=     scren     >= 1      w_H(j)     no        non-increasing
+mono-ladder-base             >=     scren     >= 1      j          no        tail-sum at k=1
+poly-hamming-base            <=     screnoa   [0, 1]    w_H(j)     no        non-increasing
+poly-ladder-base             <=     screnoa   [0, 1]    j          no        tail-sum at k=1
 
-The ``-base`` rows are the prior bounds the weighted family tightens; the
+Every bound but the average one is ``sum_j base^{e(j)} v_j^alpha``: the
+weighted rows take base = factor at the relation's k, the ``-base`` rows
+base = alpha at a pinned k = 1 and report no k.  The ``-base`` rows are
+the prior bounds the weighted family tightens, so each weighted row with
+alpha >= 0 also reports its baseline value as ``kim_rhs``.  The
 ordering-style hypotheses presuppose a non-increasing labeling of the
 subsystems, which the harness applies by sorting (this engine never
 reorders an input vector itself).
@@ -121,48 +125,48 @@ class RelationSpec:
     alpha_range: AlphaRange
     condition: ConditionMode
     exponent: str  # "hamming" | "ladder" | "average"
-    weighted: bool  # factor base vs plain alpha base
-    fixed_k: float | None  # baselines pin k = 1 and report no k
-    counterpart: "RelationId | None"  # baseline this relation tightens
+    # True: base = weight factor at the relation's k.  False: a baseline
+    # (base alpha, k pinned to 1 and not reported) or the average relation
+    weighted: bool
 
 
 REGISTRY: dict[RelationId, RelationSpec] = {
     RelationId.MONO_HAMMING: RelationSpec(
         MeasureKind.SCREN, True, AlphaRange.GEQ_ONE, ConditionMode.ORDERING,
-        "hamming", True, None, RelationId.MONO_HAMMING_BASE),
+        "hamming", True),
     RelationId.MONO_LADDER: RelationSpec(
         MeasureKind.SCREN, True, AlphaRange.GEQ_ONE, ConditionMode.TAIL_SUM,
-        "ladder", True, None, RelationId.MONO_LADDER_BASE),
+        "ladder", True),
     RelationId.POLY_HAMMING: RelationSpec(
         MeasureKind.SCRENOA, False, AlphaRange.UNIT, ConditionMode.ORDERING,
-        "hamming", True, None, RelationId.POLY_HAMMING_BASE),
+        "hamming", True),
     RelationId.POLY_LADDER: RelationSpec(
         MeasureKind.SCRENOA, False, AlphaRange.UNIT, ConditionMode.TAIL_SUM,
-        "ladder", True, None, RelationId.POLY_LADDER_BASE),
+        "ladder", True),
     RelationId.POLY_AVERAGE_NEG: RelationSpec(
         MeasureKind.SCREN, False, AlphaRange.NEGATIVE, ConditionMode.POSITIVITY,
-        "average", False, None, None),
+        "average", False),
     RelationId.MONO_HAMMING_NEG: RelationSpec(
         MeasureKind.SCRENOA, True, AlphaRange.NEGATIVE, ConditionMode.ORDERING,
-        "hamming", True, None, None),
+        "hamming", True),
     RelationId.MONO_LADDER_NEG: RelationSpec(
         MeasureKind.SCRENOA, True, AlphaRange.NEGATIVE, ConditionMode.TAIL_SUM,
-        "ladder", True, None, None),
+        "ladder", True),
     RelationId.MONO_LADDER_NEG_COLLECTIVE: RelationSpec(
         MeasureKind.SCRENOA, True, AlphaRange.NEGATIVE, ConditionMode.COLLECTIVE_TAIL,
-        "ladder", True, None, None),
+        "ladder", True),
     RelationId.MONO_HAMMING_BASE: RelationSpec(
         MeasureKind.SCREN, True, AlphaRange.GEQ_ONE, ConditionMode.ORDERING,
-        "hamming", False, 1.0, None),
+        "hamming", False),
     RelationId.MONO_LADDER_BASE: RelationSpec(
         MeasureKind.SCREN, True, AlphaRange.GEQ_ONE, ConditionMode.TAIL_SUM,
-        "ladder", False, 1.0, None),
+        "ladder", False),
     RelationId.POLY_HAMMING_BASE: RelationSpec(
         MeasureKind.SCRENOA, False, AlphaRange.UNIT, ConditionMode.ORDERING,
-        "hamming", False, 1.0, None),
+        "hamming", False),
     RelationId.POLY_LADDER_BASE: RelationSpec(
         MeasureKind.SCRENOA, False, AlphaRange.UNIT, ConditionMode.TAIL_SUM,
-        "ladder", False, 1.0, None),
+        "ladder", False),
 }
 
 
@@ -243,6 +247,14 @@ def _powers(values, alpha: float) -> list[float] | None:
     return [v**alpha for v in values]
 
 
+def _pattern_sum(powers: list[float], base: float, exponent: str) -> float:
+    """``sum_j base^{e(j)} v_j^alpha`` with e = w_H (``"hamming"``) or the
+    index itself (``"ladder"``): the one shape of every bound but the
+    average one."""
+    e = hamming_weight if exponent == "hamming" else (lambda j: j)
+    return float(sum(base ** e(j) * p for j, p in enumerate(powers)))
+
+
 def bound_hamming(values, alpha: float, k: float) -> float | None:
     """``sum_j factor^{w_H(j)} v_j^alpha`` with factor = weight_factor(alpha, k).
 
@@ -251,8 +263,7 @@ def bound_hamming(values, alpha: float, k: float) -> float | None:
     powers = _powers([float(v) for v in values], alpha)
     if powers is None:
         return None
-    f = weight_factor(alpha, k)
-    return float(sum(f ** hamming_weight(j) * p for j, p in enumerate(powers)))
+    return _pattern_sum(powers, weight_factor(alpha, k), "hamming")
 
 
 def bound_power_j(values, alpha: float, k: float) -> float | None:
@@ -260,8 +271,7 @@ def bound_power_j(values, alpha: float, k: float) -> float | None:
     powers = _powers([float(v) for v in values], alpha)
     if powers is None:
         return None
-    f = weight_factor(alpha, k)
-    return float(sum(f**j * p for j, p in enumerate(powers)))
+    return _pattern_sum(powers, weight_factor(alpha, k), "ladder")
 
 
 def bound_kim(values, alpha: float, variant: str) -> float | None:
@@ -274,8 +284,7 @@ def bound_kim(values, alpha: float, variant: str) -> float | None:
     powers = _powers([float(v) for v in values], alpha)
     if powers is None:
         return None
-    exp = hamming_weight if variant == "hamming" else (lambda j: j)
-    return float(sum(alpha ** exp(j) * p for j, p in enumerate(powers)))
+    return _pattern_sum(powers, alpha, variant)
 
 
 def bound_average(values, alpha: float) -> float | None:
@@ -296,9 +305,10 @@ class RelationReport:
     ``satisfied`` is None ("not evaluated") when the relation's hypothesis
     fails or a needed quantity is undefined; a False here is a genuine
     violation at the 1e-9 gap tolerance.  ``gap`` is signed so that the
-    satisfied direction is positive.  ``tightness_delta`` compares against
-    the baseline counterpart where one exists (rhs - kim_rhs on the
-    monogamy side, kim_rhs - rhs on the polygamy side).
+    satisfied direction is positive.  ``kim_rhs`` is the baseline bound a
+    weighted relation with alpha >= 0 tightens, and ``tightness_delta``
+    compares against it (rhs - kim_rhs on the monogamy side, kim_rhs - rhs
+    on the polygamy side).
     """
 
     relation: RelationId
@@ -313,28 +323,20 @@ class RelationReport:
     tightness_delta: float | None
 
 
-def _resolve_k(spec: RelationSpec, mv: MeasureVector, k_policy) -> tuple[float | None, float | None]:
-    """Returns (k used internally, k to report)."""
-    if spec.condition is ConditionMode.POSITIVITY:
-        return None, None
-    if spec.fixed_k is not None:
-        return spec.fixed_k, None
+def _resolve_k(spec: RelationSpec, mv: MeasureVector, k_policy) -> float | None:
+    """The k of the condition and bound; only a weighted relation reports it."""
+    if not spec.weighted:
+        return 1.0  # a baseline pins k = 1; the average relation has no k
     if isinstance(k_policy, str):
         if k_policy != "auto":
             raise ValueError(f"k policy must be 'auto' or an explicit float, got {k_policy!r}")
         if spec.condition is ConditionMode.COLLECTIVE_TAIL:
-            if mv.tail_values is None:
-                raise ValueError(
-                    "the collective-tail relation needs MeasureVector.tail_values"
-                )
-            k = _min_k_from_ratios(mv.tail_values, mv.values[:-1])
-        else:
-            k = admissible_k(mv.values, spec.condition)
-        return k, k
+            return _min_k_from_ratios(mv.tail_values, mv.values[:-1])
+        return admissible_k(mv.values, spec.condition)
     k = float(k_policy)
     if not 0.0 < k <= 1.0:
         raise ValueError(f"explicit k must lie in (0, 1], got {k}")
-    return k, k
+    return k
 
 
 def _condition_holds(spec: RelationSpec, mv: MeasureVector, k: float | None, alpha: float) -> bool:
@@ -355,22 +357,11 @@ def _condition_holds(spec: RelationSpec, mv: MeasureVector, k: float | None, alp
                 raise RuntimeError("tail-sum condition held but ordering did not")
         return holds
     if spec.condition is ConditionMode.COLLECTIVE_TAIL:
-        if mv.tail_values is None:
-            raise ValueError("the collective-tail relation needs MeasureVector.tail_values")
         return all(
             k * mv.values[i] >= mv.tail_values[i] - COND_TOL
             for i in range(len(mv.values) - 1)
         )
     raise AssertionError(spec.condition)
-
-
-def _bound(spec: RelationSpec, values, alpha: float, k: float | None) -> float | None:
-    if spec.exponent == "average":
-        return bound_average(values, alpha)
-    if spec.weighted:
-        fn = bound_hamming if spec.exponent == "hamming" else bound_power_j
-        return fn(values, alpha, k if k is not None else 1.0)
-    return bound_kim(values, alpha, spec.exponent)
 
 
 def evaluate_relation(mv: MeasureVector, relation: RelationId, alpha: float,
@@ -393,17 +384,25 @@ def evaluate_relation(mv: MeasureVector, relation: RelationId, alpha: float,
             f"alpha = {alpha} outside the range of {relation.value} ({spec.alpha_range.value})"
         )
 
-    k_used, k_report = _resolve_k(spec, mv, k_policy)
-    condition = _condition_holds(spec, mv, k_used, alpha)
+    if spec.condition is ConditionMode.COLLECTIVE_TAIL and mv.tail_values is None:
+        raise ValueError("the collective-tail relation needs MeasureVector.tail_values")
+
+    k = _resolve_k(spec, mv, k_policy)
+    condition = _condition_holds(spec, mv, k, alpha)
 
     lhs_pow = None
     if mv.lhs > POS_EPS or alpha > 0.0:
         lhs_pow = float(mv.lhs**alpha)
-    rhs = _bound(spec, mv.values, alpha, k_used) if (k_used is not None or
-                                                     spec.condition is ConditionMode.POSITIVITY) else None
-    kim_rhs = None
-    if spec.counterpart is not None:
-        kim_rhs = bound_kim(mv.values, alpha, spec.exponent)
+    rhs = kim_rhs = None
+    if spec.exponent == "average":
+        rhs = bound_average(mv.values, alpha)
+    else:
+        powers = _powers(mv.values, alpha)
+        if powers is not None and k is not None:
+            base = weight_factor(alpha, k) if spec.weighted else alpha
+            rhs = _pattern_sum(powers, base, spec.exponent)
+        if powers is not None and spec.weighted and alpha >= 0.0:
+            kim_rhs = _pattern_sum(powers, alpha, spec.exponent)
     tightness = None
     if kim_rhs is not None and rhs is not None:
         tightness = (rhs - kim_rhs) if spec.geq else (kim_rhs - rhs)
@@ -417,7 +416,7 @@ def evaluate_relation(mv: MeasureVector, relation: RelationId, alpha: float,
     return RelationReport(
         relation=relation,
         alpha=alpha,
-        k=k_report,
+        k=k if spec.weighted else None,
         condition_holds=condition,
         lhs_pow=lhs_pow,
         rhs=rhs,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
@@ -65,6 +66,13 @@ class RoofConfig:
     squared_tolerance: float = 0.0
 
     def __post_init__(self):
+        ints = ("restarts", "max_iters", "seed") + (() if self.cardinality is None else ("cardinality",))
+        for name in ints + ("step_tolerance", "value_floor", "squared_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if name in ints else numbers.Real):
+                kind = "an integer" if name in ints else "a number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.step_tolerance <= 0:
@@ -492,7 +500,9 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
     random kicks of the best point found so far, which escapes the shallow
     stationary points this landscape is prone to.  Non-convergence is
     never fatal: disagreement between searches surfaces as a large
-    ``restart_spread``.
+    ``restart_spread``.  One call runs one restart budget and returns its
+    best value as found; a minimization relaxed by ``squared_tolerance``
+    that stops just above ``min_floor`` is not rerun at full precision.
     """
     cfg = config or RoofConfig()
     cut.validate(len(rho.dims))
@@ -547,25 +557,4 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
     value = max(best_val, 0.0)
     weights, states = decomposition_from_isometry(rho, best_v)
     spread = float(max(per_restart) - min(per_restart))
-    result = RoofResult(value=value, weights=weights, states=states, restart_spread=spread)
-    if (
-        minimize
-        and obj.det_mode
-        and cfg.squared_tolerance > 0.0
-        and cfg.min_floor < value < 5e-3
-    ):
-        # a relaxed minimization that lands just above the floor cannot
-        # tell a tiny optimum from a vanishing one it failed to reach, and
-        # there the squared error is the value itself; retry that zone at
-        # full precision and keep the better outcome
-        strict = replace(
-            cfg,
-            squared_tolerance=0.0,
-            restarts=max(cfg.restarts, 20),
-            seed=cfg.seed + 104729,
-        )
-        retry = optimize_roof(rho, cut, strict)
-        if retry.value < result.value:
-            retry.restart_spread = max(retry.restart_spread, spread)
-            return retry
-    return result
+    return RoofResult(value=value, weights=weights, states=states, restart_spread=spread)

@@ -204,6 +204,10 @@ class TestCampaign:
         dict(alphas=(2.0, 2.0)),
         dict(relations=(RelationId.MONO_HAMMING, RelationId.MONO_HAMMING)),
         dict(alphas=(0.5,), relations=(RelationId.MONO_HAMMING,)),
+        dict(k_policy="bogus"),
+        dict(k_policy=-3),
+        dict(seed=-1),
+        dict(sort_values="no"),
     ])
     def test_invalid_config_rejected(self, over):
         with pytest.raises(ValueError):
@@ -314,12 +318,29 @@ class TestCli:
         {"samples": 5, "bogus": 1},
         {"samples": 5, "roof": {"restarts": 2, "bogus": 1}},
         {"samples": 2.7},
+        {"samples": 2, "roof": None},
+        {"samples": 2, "dims": 3},
+        {"samples": 2, "alphas": 1},
+        {"samples": 2, "relations": "mono-hamming"},
+        {"samples": 2, "sort_values": "no"},
+        {"samples": 2, "k_policy": "bogus"},
+        {"samples": 2, "k_policy": -3},
+        {"samples": 2, "seed": -1},
     ])
     def test_campaign_bad_config_file_exit_one(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dims": [2, 2, 2], **config}))
         assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        # the last key holds the bad value, and the error names it
+        assert list(config)[-1] in err
+
+    def test_campaign_config_not_object_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[2, 2, 2]")
+        assert cli_main(["campaign", "--config", str(cfg_path)]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
     # 0.5 is outside the alpha >= 1 range of mono-hamming
     @pytest.mark.parametrize("alphas", ["0.5", "nan,1"])

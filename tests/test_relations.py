@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from negmono import (
     hamming_weight,
     weight_factor,
 )
+from negmono.harness import relation_reports_to_json
+from negmono.relations import REGISTRY
 
 
 def scren_vec(values, lhs, tails=None):
@@ -332,3 +337,90 @@ class TestEvaluateRelation:
         assert abs(mono.gap - (16.0 - 4.0)) < 1e-12
         poly = evaluate_relation(screnoa_vec([1.0, 1.0], 1.0), RelationId.POLY_HAMMING, 0.5, 1.0)
         assert abs(poly.gap - (np.sqrt(2) - 1.0)) < 1e-12
+
+
+# the public bound each relation's rhs is, as a function of (values, alpha, k)
+RHS_BOUND = {
+    RelationId.MONO_HAMMING: bound_hamming,
+    RelationId.MONO_LADDER: bound_power_j,
+    RelationId.POLY_HAMMING: bound_hamming,
+    RelationId.POLY_LADDER: bound_power_j,
+    RelationId.POLY_AVERAGE_NEG: lambda v, a, k: bound_average(v, a),
+    RelationId.MONO_HAMMING_NEG: bound_hamming,
+    RelationId.MONO_LADDER_NEG: bound_power_j,
+    RelationId.MONO_LADDER_NEG_COLLECTIVE: bound_power_j,
+    RelationId.MONO_HAMMING_BASE: lambda v, a, k: bound_kim(v, a, "hamming"),
+    RelationId.MONO_LADDER_BASE: lambda v, a, k: bound_kim(v, a, "ladder"),
+    RelationId.POLY_HAMMING_BASE: lambda v, a, k: bound_kim(v, a, "hamming"),
+    RelationId.POLY_LADDER_BASE: lambda v, a, k: bound_kim(v, a, "ladder"),
+}
+# the weighted relations with alpha >= 0, each tightening a baseline
+TIGHTENS = {
+    RelationId.MONO_HAMMING: "hamming",
+    RelationId.MONO_LADDER: "ladder",
+    RelationId.POLY_HAMMING: "hamming",
+    RelationId.POLY_LADDER: "ladder",
+}
+UNWEIGHTED = {
+    RelationId.POLY_AVERAGE_NEG,
+    RelationId.MONO_HAMMING_BASE,
+    RelationId.MONO_LADDER_BASE,
+    RelationId.POLY_HAMMING_BASE,
+    RelationId.POLY_LADDER_BASE,
+}
+
+
+class TestReportFacts:
+    @pytest.mark.parametrize("k_policy", ["auto", 0.7])
+    @pytest.mark.parametrize("relation", list(RelationId))
+    def test_k_baseline_and_rhs(self, relation, k_policy):
+        spec = REGISTRY[relation]
+        alpha = next(a for a in (2.0, 0.5, -1.0) if spec.alpha_range.contains(a))
+        values = (0.9, 0.3, 0.05)
+        tails = (0.4, 0.05) if spec.kind is MeasureKind.SCRENOA else None
+        rep = evaluate_relation(MeasureVector(values, spec.kind, 1.2, tails), relation,
+                                alpha, k_policy)
+        assert rep.condition_holds
+        assert (rep.k is None) == (relation in UNWEIGHTED)
+        assert (rep.kim_rhs is not None) == (relation in TIGHTENS)
+        if relation in TIGHTENS:
+            assert rep.kim_rhs == bound_kim(values, alpha, TIGHTENS[relation])
+        assert rep.rhs is not None
+        assert rep.rhs == RHS_BOUND[relation](values, alpha, rep.k)
+
+
+def _pinned_vectors():
+    """Seeded non-increasing vectors of 1 to 5 values plus some with ties
+    and zeros, each with a full-cut value and collective tails."""
+    rng = random.Random(20191201)
+    raws = [sorted((rng.random() for _ in range(n)), reverse=True)
+            for n in (1, 2, 3, 4, 5) for _ in range(6)]
+    raws += [[0.5, 0.5, 0.5], [0.9, 0.9, 0.2, 0.2], [0.8, 0.3, 0.3, 0.0],
+             [0.6, 0.0], [1.0, 1.0], [0.0, 0.0, 0.0]]
+    vectors = []
+    for raw in raws:
+        lhs = sum(raw) * rng.uniform(0.5, 1.5)
+        tails = [sum(raw[i + 1:]) * rng.uniform(0.5, 1.0) for i in range(len(raw) - 1)]
+        vectors.append((tuple(raw), lhs, tuple(tails)))
+    return vectors
+
+
+class TestPinnedReports:
+    # sha256 of every report below as JSON (17 significant digits).  It
+    # holds each float of the relation layer to the last bit across
+    # commits, so a change to it is a change to campaign reports and needs
+    # a recorded reason.  Python floats only: no LAPACK call takes part.
+    DIGEST = "a9c51bce17c79dd60497ce0a0f1f3734b7426d3d390c5f22c2c0a992cef3b77b"
+
+    def test_reports_bit_identical(self):
+        reports = []
+        for values, lhs, tails in _pinned_vectors():
+            for relation, spec in REGISTRY.items():
+                mv = MeasureVector(values, spec.kind, lhs,
+                                   tails if spec.kind is MeasureKind.SCRENOA else None)
+                for alpha in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, -0.5, -1.0, -2.0):
+                    if spec.alpha_range.contains(alpha):
+                        for k_policy in ("auto", 0.7):
+                            reports.append(evaluate_relation(mv, relation, alpha, k_policy))
+        text = relation_reports_to_json(reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

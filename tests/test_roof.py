@@ -203,6 +203,19 @@ class TestOptimizeRoof:
         with pytest.raises(ValueError):
             optimize_roof(rho, CUT2, RoofConfig(cardinality=2, restarts=1))
 
+    # a config file's value of the wrong JSON type is named, not a TypeError
+    @pytest.mark.parametrize("over, name", [
+        (dict(restarts="2"), "restarts"),
+        (dict(max_iters=None), "max_iters"),
+        (dict(seed=1.5), "seed"),
+        (dict(cardinality="x"), "cardinality"),
+        (dict(value_floor=None), "value_floor"),
+        (dict(squared_tolerance=True), "squared_tolerance"),
+    ])
+    def test_config_rejects_wrong_types(self, over, name):
+        with pytest.raises(ValueError, match=name):
+            RoofConfig(**over)
+
     def test_qutrit_marginal_flat_roof(self):
         # every pure state in the antisymmetric two-qutrit support has
         # negativity exactly 1, so both roofs sit at 1
