@@ -1,7 +1,24 @@
-"""Builtin states, per-state analysis, sweeps, and Monte Carlo campaigns."""
+"""Builtin states, per-state analysis, sweeps, and Monte Carlo campaigns.
+
+Analysis runs on blocks of states.  :func:`run_campaign` walks its
+samples in fixed blocks of ``_BLOCK`` indices; each block is analysed at
+once (one batched SVD for the full-cut values, a batched outer product
+for the density matrices, and for every 2x2 marginal a batched partial
+trace and spin-flip spectrum, each stack checked as
+:class:`~negmono.states.DensityMatrix` checks one matrix), and its
+relations are evaluated as columns by
+:func:`negmono.relations.evaluate_block`.  Marginals that are not 2x2 and
+the collective tails go per state through ``scren``/``screnoa`` and the
+roof.  :func:`analyze` is the block of one state, so a campaign and a
+single analysis share every float: reports do not depend on the block
+size.  Batching keeps each value bit for bit: every power goes through
+Python's ``pow`` per element (``states.float_pow``, never ``np.power``)
+and every sum over a state's values adds left to right from zero.
+"""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
@@ -11,24 +28,46 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .measures import (
+# pure_scren and two_qubit_tangle_and_toa are the one-state forms of the
+# block kernels used here; they stay bound in this module, where the
+# benchmark's tracer wraps each measure layer
+from .measures import (  # noqa: F401
     Bipartition,
+    pure_negativity_block,
     pure_scren,
     scren,
     screnoa,
+    two_qubit_block,
     two_qubit_tangle_and_toa,
 )
 from .relations import (
     SAT_TOL,
+    MeasureBlock,
     MeasureKind,
     MeasureVector,
     RelationId,
     RelationReport,
     REGISTRY,
+    ReportColumns,
+    evaluate_block,
     evaluate_relation,
+    row_sum,
 )
 from .roof import RoofConfig
-from .states import PureState, density, haar_random_pure, ket, partial_trace
+from .states import (
+    DensityMatrix,
+    PureState,
+    check_density_block,
+    density,
+    haar_random_pure,
+    ket,
+    partial_trace,
+    partial_trace_block,
+)
+
+# states per block of run_campaign: 1 MB of density matrices at five
+# qubits, so peak memory does not grow with the sample count
+_BLOCK = 64
 
 _BUILTIN_RE = re.compile(r"^([a-z]+)[\s(:]*([\d,x ]*)\)?$")
 
@@ -110,58 +149,69 @@ def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
     ``sort_values`` relabels the B subsystems so each vector is
     non-increasing (independently per kind); with ``include_tails`` the
     SCRENoA vector also carries the collective tail measures, computed in
-    the sorted order when sorting is on.
+    the sorted order when sorting is on.  This is the block of one state.
     """
-    n = psi.n_factors
+    scren_block, screnoa_block = _analyze_block([psi], roof_config, sort_values, include_tails)
+    return AnalysisResult(scren=scren_block.row(0), screnoa=screnoa_block.row(0))
+
+
+def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
+                   sort_values: bool, include_tails: bool) -> tuple[MeasureBlock, MeasureBlock]:
+    """:func:`analyze` of states of equal dims, one row each, as a SCREN
+    and a SCRENoA block."""
+    dims = states[0].dims
+    n = len(dims)
     if n < 2:
         raise ValueError("analysis needs at least two tensor factors")
-    lhs = pure_scren(psi, Bipartition.split(n, (0,)))
-    rho = density(psi)
+    rows = len(states)
+    amps = np.stack([psi.amplitudes for psi in states])
+    neg = pure_negativity_block(amps.reshape(rows, dims[0], -1))
+    lhs = neg * neg
+    rho = amps[:, :, None] * amps.conj()[:, None, :]
+    check_density_block(rho)
 
-    scren_vals: list[float] = []
-    screnoa_vals: list[float] = []
+    @functools.cache
+    def rho_of(b: int) -> DensityMatrix:
+        # the validated density matrix of one state, for the roof
+        return density(states[b])
+
+    cut = Bipartition.split(2, (0,))
+    scren_vals = np.empty((rows, n - 1))
+    screnoa_vals = np.empty((rows, n - 1))
     for j in range(1, n):
-        marg = partial_trace(rho, (0, j))
-        if marg.dims == (2, 2):
-            tangle, toa = two_qubit_tangle_and_toa(marg)
-        else:
-            cut = Bipartition.split(2, (0,))
-            tangle = scren(marg, cut, roof_config).value
-            toa = screnoa(marg, cut, roof_config).value
-        scren_vals.append(tangle)
-        screnoa_vals.append(toa)
+        if dims[0] == dims[j] == 2:
+            marg = partial_trace_block(rho, dims, (0, j))
+            check_density_block(marg)
+            scren_vals[:, j - 1], screnoa_vals[:, j - 1] = two_qubit_block(marg)
+            continue
+        for b in range(rows):
+            marg = partial_trace(rho_of(b), (0, j))
+            scren_vals[b, j - 1] = scren(marg, cut, roof_config).value
+            screnoa_vals[b, j - 1] = screnoa(marg, cut, roof_config).value
 
-    scren_order = list(range(n - 1))
-    screnoa_order = list(range(n - 1))
+    scren_order = screnoa_order = np.broadcast_to(np.arange(n - 1), (rows, n - 1))
     if sort_values:
-        scren_order.sort(key=lambda i: -scren_vals[i])
-        screnoa_order.sort(key=lambda i: -screnoa_vals[i])
+        # stable, so ties keep their labels as Python's list.sort does
+        scren_order = np.argsort(-scren_vals, axis=1, kind="stable")
+        screnoa_order = np.argsort(-screnoa_vals, axis=1, kind="stable")
 
     tails = None
     if include_tails:
-        tails = []
-        for i in range(n - 2):
-            tail_pos = screnoa_order[i + 1 :]
-            if len(tail_pos) == 1:
-                tails.append(screnoa_vals[tail_pos[0]])
-                continue
-            keep = (0,) + tuple(sorted(p + 1 for p in tail_pos))
-            reduced = partial_trace(rho, keep)
-            cut = Bipartition.split(len(keep), (0,))
-            tails.append(screnoa(reduced, cut, roof_config).value)
+        tails = np.empty((rows, n - 2))
+        for b in range(rows):
+            for i in range(n - 2):
+                tail_pos = screnoa_order[b, i + 1:]
+                if len(tail_pos) == 1:
+                    tails[b, i] = screnoa_vals[b, tail_pos[0]]
+                    continue
+                keep = (0,) + tuple(sorted(int(p) + 1 for p in tail_pos))
+                reduced = partial_trace(rho_of(b), keep)
+                tails[b, i] = screnoa(reduced, Bipartition.split(len(keep), (0,)), roof_config).value
 
-    return AnalysisResult(
-        scren=MeasureVector(
-            values=tuple(scren_vals[i] for i in scren_order),
-            kind=MeasureKind.SCREN,
-            lhs=lhs,
-        ),
-        screnoa=MeasureVector(
-            values=tuple(screnoa_vals[i] for i in screnoa_order),
-            kind=MeasureKind.SCRENOA,
-            lhs=lhs,
-            tail_values=tuple(tails) if tails is not None else None,
-        ),
+    return (
+        MeasureBlock(np.take_along_axis(scren_vals, scren_order, axis=1), MeasureKind.SCREN, lhs),
+        MeasureBlock(np.take_along_axis(screnoa_vals, screnoa_order, axis=1),
+                     MeasureKind.SCRENOA, lhs, tails),
     )
 
 
@@ -256,17 +306,22 @@ class RelationStats:
             return None
         return math.fsum(self._tightness_values) / len(self._tightness_values)
 
-    def absorb(self, rep: RelationReport) -> None:
-        if rep.condition_holds:
-            self.condition_pass += 1
-        if rep.satisfied is not None:
-            self.evaluated += 1
-            if not rep.satisfied:
-                self.violations += 1
-            if rep.gap is not None and (self.worst_gap is None or rep.gap < self.worst_gap):
-                self.worst_gap = rep.gap
-            if rep.tightness_delta is not None:
-                self._tightness_values.append(rep.tightness_delta)
+    def absorb(self, cols: ReportColumns) -> None:
+        """Fold in a block's rows, as if they came one by one."""
+        evaluated = cols.evaluated
+        self.condition_pass += int(cols.condition.sum())
+        self.evaluated += int(evaluated.sum())
+        self.violations += int((evaluated & ~cols.satisfied).sum())
+        self.worst_gap = _worst(self.worst_gap, cols.gap[evaluated])
+        self._tightness_values += cols.tightness[evaluated & cols.has_tightness].tolist()
+
+
+def _worst(current: float | None, gaps: np.ndarray) -> float | None:
+    """The running minimum after ``gaps`` in order (the first of equals)."""
+    if not gaps.size:
+        return current
+    low = float(gaps[gaps.argmin()])
+    return low if current is None or low < current else current
 
 
 @dataclass
@@ -292,17 +347,14 @@ class BaselineStats:
     polygamy_violations: int = 0
     polygamy_worst_gap: float | None = None
 
-    def absorb(self, scren_mv: MeasureVector, screnoa_mv: MeasureVector) -> None:
-        ckw_gap = scren_mv.lhs - sum(scren_mv.values)
-        poly_gap = sum(screnoa_mv.values) - screnoa_mv.lhs
-        if ckw_gap < -SAT_TOL:
-            self.ckw_violations += 1
-        if poly_gap < -SAT_TOL:
-            self.polygamy_violations += 1
-        if self.ckw_worst_gap is None or ckw_gap < self.ckw_worst_gap:
-            self.ckw_worst_gap = ckw_gap
-        if self.polygamy_worst_gap is None or poly_gap < self.polygamy_worst_gap:
-            self.polygamy_worst_gap = poly_gap
+    def absorb(self, scren: MeasureBlock, screnoa: MeasureBlock) -> None:
+        """Fold in a block's rows, as if they came one by one."""
+        ckw_gap = scren.lhs - row_sum(scren.values)
+        poly_gap = row_sum(screnoa.values) - screnoa.lhs
+        self.ckw_violations += int((ckw_gap < -SAT_TOL).sum())
+        self.polygamy_violations += int((poly_gap < -SAT_TOL).sum())
+        self.ckw_worst_gap = _worst(self.ckw_worst_gap, ckw_gap)
+        self.polygamy_worst_gap = _worst(self.polygamy_worst_gap, poly_gap)
 
 
 @dataclass
@@ -332,7 +384,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Evaluate the configured relations over a seeded Haar ensemble.
 
     Deterministic given the config: each sample is drawn from a stream
-    keyed on (seed, sample index), and samples run in index order.
+    keyed on (seed, sample index).  Samples run in index order, in blocks
+    of ``_BLOCK``; violations are recorded in (sample, relation, alpha)
+    order and the report does not depend on the block size.
     """
     needs_tails = RelationId.MONO_LADDER_NEG_COLLECTIVE in config.relations
     stats = {
@@ -340,20 +394,25 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         for rid in config.relations
         for a in _grid_for(rid, config.alphas)
     }
+    order = {key: pos for pos, key in enumerate(stats)}
+    keys_of = {kind: [key for key in stats if REGISTRY[key[0]].kind is kind] for kind in MeasureKind}
     baseline = BaselineStats()
     violations: list[ViolationRecord] = []
-    for i in range(config.samples):
-        psi = sample_state(config, i)
-        result = analyze(
-            psi, config.roof, sort_values=config.sort_values, include_tails=needs_tails
-        )
-        baseline.absorb(result.scren, result.screnoa)
-        for (rid, alpha), st in stats.items():
-            mv = vector_for(result, rid)
-            rep = evaluate_relation(mv, rid, alpha, config.k_policy)
-            st.absorb(rep)
-            if rep.satisfied is False:
-                violations.append(ViolationRecord(rid, alpha, i, rep.gap, mv.lhs, mv.values))
+    for start in range(0, config.samples, _BLOCK):
+        states = [sample_state(config, i) for i in range(start, min(start + _BLOCK, config.samples))]
+        blocks = _analyze_block(states, config.roof, config.sort_values, needs_tails)
+        baseline.absorb(*blocks)
+        found = []
+        for block in blocks:
+            for cols in evaluate_block(block, keys_of[block.kind], config.k_policy):
+                key = (cols.relation, cols.alpha)
+                stats[key].absorb(cols)
+                for row in np.flatnonzero(cols.evaluated & ~cols.satisfied).tolist():
+                    record = ViolationRecord(cols.relation, cols.alpha, start + row,
+                                             float(cols.gap[row]), float(block.lhs[row]),
+                                             tuple(block.values[row].tolist()))
+                    found.append((row, order[key], record))
+        violations += [record for *_, record in sorted(found, key=lambda f: f[:2])]
     return CampaignReport(
         config=config,
         stats=list(stats.values()),

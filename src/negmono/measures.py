@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from .roof import Direction, RoofConfig, optimize_roof
-from .states import DensityMatrix, PureState, partial_transpose, trace_norm
+from .states import DensityMatrix, PureState, float_pow, partial_transpose, trace_norm
 
 _NEG_CLAMP = 1e-12
 
@@ -80,16 +80,18 @@ class MeasureValue:
     certified_gap: float
 
 
-def _clamp_nonneg(x: float) -> float:
-    if x < -1e-9:
-        raise RuntimeError(f"measure produced {x}, far below the roundoff clamp window")
-    return max(0.0, float(x))
+def _clamp_nonneg(x):
+    """0 for values inside the roundoff window below 0, elementwise."""
+    x = np.asarray(x, dtype=float)
+    if (x < -1e-9).any():
+        raise RuntimeError(f"measure produced {x.min()}, far below the roundoff clamp window")
+    return np.where(x > 0.0, x, 0.0)
 
 
 def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     """``||rho^{T_B}||_1 - 1``, clamped to 0 inside the roundoff window."""
     cut.validate(rho.n_factors)
-    return _clamp_nonneg(trace_norm(partial_transpose(rho, cut.b_side)) - 1.0)
+    return float(_clamp_nonneg(trace_norm(partial_transpose(rho, cut.b_side)) - 1.0))
 
 
 def _cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
@@ -105,13 +107,19 @@ def pure_tangle(psi: PureState, cut: Bipartition) -> float:
     mat = _cut_matrix(psi, cut)
     gram = mat @ mat.conj().T
     purity = float(np.real((gram * gram.conj()).sum()))
-    return _clamp_nonneg(2.0 * (1.0 - purity))
+    return float(_clamp_nonneg(2.0 * (1.0 - purity)))
+
+
+def pure_negativity_block(cut_mats: np.ndarray) -> np.ndarray:
+    """:func:`pure_negativity` of every amplitude matrix in a stack
+    ``(..., d_A, d_B)``, from one batched SVD."""
+    s = np.linalg.svd(cut_mats, compute_uv=False)
+    return _clamp_nonneg(float_pow(s.sum(axis=-1), 2) - 1.0)
 
 
 def pure_negativity(psi: PureState, cut: Bipartition) -> float:
     """Negativity of a pure state, ``(sum of Schmidt coefficients)^2 - 1``."""
-    s = np.linalg.svd(_cut_matrix(psi, cut), compute_uv=False)
-    return _clamp_nonneg(float(s.sum()) ** 2 - 1.0)
+    return float(pure_negativity_block(_cut_matrix(psi, cut)))
 
 
 def pure_scren(psi: PureState, cut: Bipartition) -> float:
@@ -129,18 +137,35 @@ def spin_flip_mus(rho: DensityMatrix) -> np.ndarray:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"spin flip requires dims (2, 2), got {rho.dims}")
-    tilde = _YY @ rho.matrix.conj() @ _YY
-    w = np.linalg.eigvals(rho.matrix @ tilde)
+    return _spin_flip_block(rho.matrix)
+
+
+def _spin_flip_block(mats: np.ndarray) -> np.ndarray:
+    tilde = _YY @ mats.conj() @ _YY
+    w = np.linalg.eigvals(mats @ tilde)
     w = np.clip(np.real(w), 0.0, None)
-    return np.sqrt(np.sort(w)[::-1])
+    return np.sqrt(np.sort(w, axis=-1)[..., ::-1])
+
+
+def _tangle_and_toa(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = mu[..., 0] - mu[..., 1:].sum(axis=-1)
+    c = np.where(c > 0.0, c, 0.0)
+    return c * c, float_pow(mu.sum(axis=-1), 2)
+
+
+def two_qubit_block(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`two_qubit_tangle_and_toa` of every validated two-qubit
+    density matrix in a stack ``(..., 4, 4)``: one batched spin-flip
+    product and ``eigvals``, whose results match a single matrix's bit for
+    bit."""
+    return _tangle_and_toa(_spin_flip_block(mats))
 
 
 def two_qubit_tangle_and_toa(rho: DensityMatrix) -> tuple[float, float]:
     """Exact two-qubit tangle ``max(0, mu1 - mu2 - mu3 - mu4)^2`` and tangle
     of assistance ``(mu1 + mu2 + mu3 + mu4)^2``, from one spin-flip spectrum."""
-    mu = spin_flip_mus(rho)
-    c = max(0.0, float(mu[0] - mu[1:].sum()))
-    return c * c, float(mu.sum()) ** 2
+    tangle, toa = _tangle_and_toa(spin_flip_mus(rho))
+    return float(tangle), float(toa)
 
 
 def _dominant_pure_state(rho: DensityMatrix) -> PureState | None:

@@ -31,12 +31,32 @@ alpha >= 0 also reports its baseline value as ``kim_rhs``.  The
 ordering-style hypotheses presuppose a non-increasing labeling of the
 subsystems, which the harness applies by sorting (this engine never
 reorders an input vector itself).
+
+Column kernel
+-------------
+Relations are evaluated as array columns over the rows of a
+:class:`MeasureBlock`, one row per state.  :func:`evaluate_block` takes
+every ``(relation, alpha)`` key of a campaign at once: it computes k and
+the condition once per (condition mode, weighted), since neither depends
+on alpha, and the powers ``v_j^alpha`` once per alpha.
+:func:`evaluate_relation`, :func:`admissible_k` and the ``bound_*``
+functions are its one-row case, so there is no second scalar path.
+
+The columns reproduce scalar Python arithmetic bit for bit, which keeps
+campaign reports byte-identical however the rows are blocked.  Every
+power goes through ``states.float_pow`` (Python's ``pow`` per element,
+never ``np.power``), and every sum adds its terms left to right from
+zero, as Python 3.11's ``sum`` of floats does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
+
+from .states import float_pow
 
 COND_TOL = 1e-12
 SAT_TOL = 1e-9
@@ -49,6 +69,48 @@ K_FLOOR = 1e-6
 class MeasureKind(Enum):
     SCREN = "scren"
     SCRENOA = "screnoa"
+
+
+def _clamp(x: np.ndarray) -> np.ndarray:
+    # max(x, 0.0) per element: a -0.0 stays as it is
+    return np.where(x < 0.0, 0.0, x)
+
+
+@dataclass(frozen=True)
+class MeasureBlock:
+    """Measure vectors of one kind for a block of states, one row each:
+    ``values`` of shape (rows, m), ``lhs`` (rows,) and, for the
+    collective-tail relation, ``tail_values`` (rows, m - 1).
+
+    Checked and clamped as :class:`MeasureVector` is; a MeasureVector is
+    the block of one row.
+    """
+
+    values: np.ndarray
+    kind: MeasureKind
+    lhs: np.ndarray
+    tail_values: np.ndarray | None = None
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=float, ndmin=2)
+        lhs = np.array(self.lhs, dtype=float, ndmin=1)
+        if vals.shape[1] == 0:
+            raise ValueError("MeasureVector needs at least one subsystem value")
+        if (vals < -COND_TOL).any() or (lhs < -COND_TOL).any():
+            raise ValueError("measure values must be nonnegative")
+        object.__setattr__(self, "values", _clamp(vals))
+        object.__setattr__(self, "lhs", _clamp(lhs))
+        if self.tail_values is not None:
+            tails = _clamp(np.array(self.tail_values, dtype=float, ndmin=2))
+            if tails.shape[1] != vals.shape[1] - 1:
+                raise ValueError(
+                    f"expected {vals.shape[1] - 1} tail values, got {tails.shape[1]}"
+                )
+            object.__setattr__(self, "tail_values", tails)
+
+    def row(self, i: int) -> "MeasureVector":
+        tails = None if self.tail_values is None else tuple(self.tail_values[i].tolist())
+        return MeasureVector(tuple(self.values[i].tolist()), self.kind, float(self.lhs[i]), tails)
 
 
 @dataclass(frozen=True)
@@ -67,20 +129,18 @@ class MeasureVector:
     tail_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("MeasureVector needs at least one subsystem value")
-        if any(v < -COND_TOL for v in vals) or self.lhs < -COND_TOL:
-            raise ValueError("measure values must be nonnegative")
-        object.__setattr__(self, "values", tuple(max(v, 0.0) for v in vals))
-        object.__setattr__(self, "lhs", max(float(self.lhs), 0.0))
-        if self.tail_values is not None:
-            tails = tuple(max(float(t), 0.0) for t in self.tail_values)
-            if len(tails) != len(vals) - 1:
-                raise ValueError(
-                    f"expected {len(vals) - 1} tail values, got {len(tails)}"
-                )
-            object.__setattr__(self, "tail_values", tails)
+        tails = None if self.tail_values is None else [tuple(self.tail_values)]
+        block = MeasureBlock([tuple(self.values)], self.kind, [self.lhs], tails)
+        object.__setattr__(self, "values", tuple(block.values[0].tolist()))
+        object.__setattr__(self, "lhs", float(block.lhs[0]))
+        if block.tail_values is not None:
+            object.__setattr__(self, "tail_values", tuple(block.tail_values[0].tolist()))
+        object.__setattr__(self, "_block", block)
+
+    @property
+    def block(self) -> MeasureBlock:
+        """This vector as a block of one row."""
+        return self._block
 
 
 class RelationId(Enum):
@@ -177,52 +237,83 @@ def hamming_weight(j: int) -> int:
     return int(j).bit_count()
 
 
-def weight_factor(alpha: float, k: float) -> float:
-    """``((1 + k)^alpha - 1) / k^alpha`` for k in (0, 1]."""
-    if not 0.0 < k <= 1.0:
+def weight_factor(alpha: float, k):
+    """``((1 + k)^alpha - 1) / k^alpha`` for k in (0, 1]; elementwise over
+    an array of k."""
+    k = np.asarray(k, dtype=float)
+    if not ((0.0 < k) & (k <= 1.0)).all():
         raise ValueError(f"k must lie in (0, 1], got {k}")
-    return ((1.0 + k) ** alpha - 1.0) / k**alpha
+    factor = (float_pow(1.0 + k, alpha) - 1.0) / float_pow(k, alpha)
+    return factor if factor.ndim else float(factor)
 
 
-def check_ordering_condition(values, k: float, tol: float = COND_TOL) -> bool:
-    """True iff ``k * v_j >= v_{j+1} >= 0`` for all consecutive j."""
-    vals = [float(v) for v in values]
-    if any(v < -tol for v in vals):
-        return False
-    return all(k * vals[j] >= vals[j + 1] - tol for j in range(len(vals) - 1))
+def _one_flag(flags):
+    return flags if flags.ndim else bool(flags)
 
 
-def check_tail_sum_condition(values, k: float, tol: float = COND_TOL) -> bool:
-    """True iff ``k * v_i >= sum_{j > i} v_j`` for all i up to N-2."""
-    vals = [float(v) for v in values]
-    if any(v < -tol for v in vals):
-        return False
+def check_ordering_condition(values, k, tol: float = COND_TOL):
+    """True iff ``k * v_j >= v_{j+1} >= 0`` for all consecutive j.
+
+    On a block of rows (rows, m) with one k per row, one flag per row.
+    """
+    vals = np.asarray(values, dtype=float)
+    k = np.asarray(k, dtype=float)[..., None]
+    holds = ~(vals < -tol).any(axis=-1) & (k * vals[..., :-1] >= vals[..., 1:] - tol).all(axis=-1)
+    return _one_flag(holds)
+
+
+def check_tail_sum_condition(values, k, tol: float = COND_TOL):
+    """True iff ``k * v_i >= sum_{j > i} v_j`` for all i up to N-2.
+
+    On a block of rows (rows, m) with one k per row, one flag per row.
+    """
+    vals = np.asarray(values, dtype=float)
+    k = np.asarray(k, dtype=float)
+    holds = ~(vals < -tol).any(axis=-1)
     tail = 0.0
-    ok = True
-    for i in range(len(vals) - 1, 0, -1):
-        tail += vals[i]
-        ok = ok and (k * vals[i - 1] >= tail - tol)
-    return ok
+    for i in range(vals.shape[-1] - 1, 0, -1):
+        tail = tail + vals[..., i]
+        holds = holds & (k * vals[..., i - 1] >= tail - tol)
+    return _one_flag(holds)
 
 
-def _min_k_from_ratios(numerators, denominators) -> float | None:
-    """Smallest k in (0, 1] with ``k * den_i >= num_i`` for all i, else None.
+def row_sum(columns: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added left to right from zero as Python's
+    ``sum`` of floats does, so a row's sum is bit for bit its scalar sum."""
+    total = 0.0
+    for j in range(columns.shape[-1]):
+        total = total + columns[..., j]
+    return total
+
+
+def _min_k(numerators: np.ndarray, denominators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the smallest k in (0, 1] with ``k * den_i >= num_i`` for
+    all i, and whether there is one.
 
     A zero denominator facing a positive numerator admits no k at all; a
-    constraint-free system returns 1.0 (the bound is then k-independent).
+    constraint-free row gets 1.0 (the bound is then k-independent).
     """
-    k = 0.0
-    for num, den in zip(numerators, denominators):
-        if den <= POS_EPS:
-            if num > POS_EPS:
-                return None
-            continue
-        k = max(k, num / den)
-    if k <= 0.0:
-        return 1.0
-    if k > 1.0 + COND_TOL:
-        return None
-    return min(max(k, K_FLOOR), 1.0)
+    free = denominators <= POS_EPS
+    blocked = (free & (numerators > POS_EPS)).any(axis=-1)
+    ratios = np.divide(numerators, denominators, out=np.zeros(numerators.shape), where=~free)
+    k = ratios.max(axis=-1, initial=0.0)
+    has_k = ~blocked & ~(k > 1.0 + COND_TOL)
+    k = np.where(k <= 0.0, 1.0, np.minimum(np.maximum(k, K_FLOOR), 1.0))
+    return k, has_k
+
+
+def _auto_k(vals: np.ndarray, tails: np.ndarray | None,
+            mode: ConditionMode) -> tuple[np.ndarray, np.ndarray]:
+    if mode is ConditionMode.ORDERING:
+        numerators = vals[:, 1:]
+    elif mode is ConditionMode.TAIL_SUM:
+        m = vals.shape[1]
+        numerators = np.empty((len(vals), m - 1))
+        for i in range(m - 1):
+            numerators[:, i] = row_sum(vals[:, i + 1:])
+    else:
+        numerators = tails
+    return _min_k(numerators, vals[:, :-1])
 
 
 def admissible_k(values, mode: ConditionMode) -> float | None:
@@ -232,27 +323,46 @@ def admissible_k(values, mode: ConditionMode) -> float | None:
     smallest for 0 <= alpha <= 1, i.e. the strongest reportable bound in
     both regimes.
     """
-    vals = [float(v) for v in values]
-    if mode is ConditionMode.ORDERING:
-        return _min_k_from_ratios(vals[1:], vals[:-1])
-    if mode is ConditionMode.TAIL_SUM:
-        tails = [sum(vals[i + 1 :]) for i in range(len(vals) - 1)]
-        return _min_k_from_ratios(tails, vals[:-1])
-    raise ValueError(f"admissible_k supports ordering / tail-sum modes, not {mode}")
+    if mode not in (ConditionMode.ORDERING, ConditionMode.TAIL_SUM):
+        raise ValueError(f"admissible_k supports ordering / tail-sum modes, not {mode}")
+    k, has_k = _auto_k(np.array([values], dtype=float, ndmin=2), None, mode)
+    return float(k[0]) if has_k[0] else None
 
 
-def _powers(values, alpha: float) -> list[float] | None:
-    if alpha <= 0.0 and any(v <= POS_EPS for v in values):
-        return None  # 0^alpha undefined for alpha <= 0: relation not applicable
-    return [v**alpha for v in values]
+def _powers(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``v_j^alpha`` of every row, and whether the row has them: 0^alpha
+    is undefined for alpha <= 0, so such a row's relation is not
+    applicable."""
+    if alpha > 0.0:
+        return float_pow(values, alpha), np.ones(len(values), dtype=bool)
+    defined = (values > POS_EPS).all(axis=-1)
+    return float_pow(np.where(defined[:, None], values, 1.0), alpha), defined
 
 
-def _pattern_sum(powers: list[float], base: float, exponent: str) -> float:
-    """``sum_j base^{e(j)} v_j^alpha`` with e = w_H (``"hamming"``) or the
-    index itself (``"ladder"``): the one shape of every bound but the
-    average one."""
+def _pattern_sum(powers: np.ndarray, base, exponent: str) -> np.ndarray:
+    """``sum_j base^{e(j)} v_j^alpha`` per row, with e = w_H (``"hamming"``)
+    or the index itself (``"ladder"``): the one shape of every bound but
+    the average one.  ``base`` is a number or one per row."""
     e = hamming_weight if exponent == "hamming" else (lambda j: j)
-    return float(sum(base ** e(j) * p for j, p in enumerate(powers)))
+    coefs = float_pow(np.asarray(base)[..., None], [e(j) for j in range(powers.shape[1])])
+    total = 0.0
+    for j in range(powers.shape[1]):
+        total = total + coefs[..., j] * powers[:, j]
+    return total
+
+
+def _mean(powers: np.ndarray) -> np.ndarray:
+    """The average relation's bound per row: the mean of ``v_j^alpha``."""
+    return row_sum(powers) / powers.shape[1]
+
+
+def _bound_row(values, alpha: float, base, exponent: str) -> float | None:
+    powers, defined = _powers(np.array([values], dtype=float, ndmin=2), alpha)
+    if not defined[0]:
+        return None
+    if exponent == "average":
+        return float(_mean(powers)[0])
+    return float(_pattern_sum(powers, base, exponent)[0])
 
 
 def bound_hamming(values, alpha: float, k: float) -> float | None:
@@ -260,18 +370,14 @@ def bound_hamming(values, alpha: float, k: float) -> float | None:
 
     Returns None when a zero value meets alpha <= 0 (not applicable).
     """
-    powers = _powers([float(v) for v in values], alpha)
-    if powers is None:
-        return None
-    return _pattern_sum(powers, weight_factor(alpha, k), "hamming")
+    alpha = float(alpha)
+    return _bound_row(values, alpha, weight_factor(alpha, k), "hamming")
 
 
 def bound_power_j(values, alpha: float, k: float) -> float | None:
     """Like :func:`bound_hamming` with exponent j instead of w_H(j)."""
-    powers = _powers([float(v) for v in values], alpha)
-    if powers is None:
-        return None
-    return _pattern_sum(powers, weight_factor(alpha, k), "ladder")
+    alpha = float(alpha)
+    return _bound_row(values, alpha, weight_factor(alpha, k), "ladder")
 
 
 def bound_kim(values, alpha: float, variant: str) -> float | None:
@@ -281,10 +387,8 @@ def bound_kim(values, alpha: float, variant: str) -> float | None:
         raise ValueError("baseline bounds are stated for alpha >= 0 only")
     if variant not in ("hamming", "ladder"):
         raise ValueError(f"unknown baseline variant {variant!r}")
-    powers = _powers([float(v) for v in values], alpha)
-    if powers is None:
-        return None
-    return _pattern_sum(powers, alpha, variant)
+    alpha = float(alpha)
+    return _bound_row(values, alpha, alpha, variant)
 
 
 def bound_average(values, alpha: float) -> float | None:
@@ -292,10 +396,7 @@ def bound_average(values, alpha: float) -> float | None:
     is numerically zero (the hypothesis requires all measures nonzero)."""
     if alpha >= 0.0:
         raise ValueError("the average bound applies to alpha < 0 only")
-    powers = _powers([float(v) for v in values], alpha)
-    if powers is None:
-        return None
-    return float(sum(powers) / len(powers))
+    return _bound_row(values, float(alpha), None, "average")
 
 
 @dataclass(frozen=True)
@@ -323,105 +424,185 @@ class RelationReport:
     tightness_delta: float | None
 
 
-def _resolve_k(spec: RelationSpec, mv: MeasureVector, k_policy) -> float | None:
-    """The k of the condition and bound; only a weighted relation reports it."""
-    if not spec.weighted:
-        return 1.0  # a baseline pins k = 1; the average relation has no k
+@dataclass(frozen=True)
+class ReportColumns:
+    """One relation at one alpha over the rows of a :class:`MeasureBlock`:
+    the fields of :class:`RelationReport` as columns.
+
+    A field that a report may leave None comes with a ``has_*`` mask (for
+    ``gap`` and ``satisfied`` it is ``evaluated``); where the mask is
+    False the column's entry means nothing.
+    """
+
+    relation: RelationId
+    alpha: float
+    k: np.ndarray
+    has_k: np.ndarray
+    condition: np.ndarray
+    lhs_pow: np.ndarray
+    has_lhs_pow: np.ndarray
+    rhs: np.ndarray
+    has_rhs: np.ndarray
+    kim_rhs: np.ndarray
+    has_kim_rhs: np.ndarray
+    evaluated: np.ndarray
+    gap: np.ndarray
+    satisfied: np.ndarray
+
+    @property
+    def tightness(self) -> np.ndarray:
+        return (self.rhs - self.kim_rhs) if REGISTRY[self.relation].geq else (self.kim_rhs - self.rhs)
+
+    @property
+    def has_tightness(self) -> np.ndarray:
+        return self.has_rhs & self.has_kim_rhs
+
+    def report(self, i: int) -> RelationReport:
+        tightness = self.tightness
+
+        def pick(column, mask):
+            return float(column[i]) if mask[i] else None
+
+        return RelationReport(
+            relation=self.relation,
+            alpha=self.alpha,
+            k=pick(self.k, self.has_k),
+            condition_holds=bool(self.condition[i]),
+            lhs_pow=pick(self.lhs_pow, self.has_lhs_pow),
+            rhs=pick(self.rhs, self.has_rhs),
+            satisfied=bool(self.satisfied[i]) if self.evaluated[i] else None,
+            gap=pick(self.gap, self.evaluated),
+            kim_rhs=pick(self.kim_rhs, self.has_kim_rhs),
+            tightness_delta=pick(tightness, self.has_tightness),
+        )
+
+
+def _explicit_k(k_policy) -> float | None:
+    """None for the ``"auto"`` policy, else the explicit k in (0, 1]."""
     if isinstance(k_policy, str):
         if k_policy != "auto":
             raise ValueError(f"k policy must be 'auto' or an explicit float, got {k_policy!r}")
-        if spec.condition is ConditionMode.COLLECTIVE_TAIL:
-            return _min_k_from_ratios(mv.tail_values, mv.values[:-1])
-        return admissible_k(mv.values, spec.condition)
+        return None
     k = float(k_policy)
     if not 0.0 < k <= 1.0:
         raise ValueError(f"explicit k must lie in (0, 1], got {k}")
     return k
 
 
-def _condition_holds(spec: RelationSpec, mv: MeasureVector, k: float | None, alpha: float) -> bool:
-    if alpha <= 0.0 and (any(v <= POS_EPS for v in mv.values) or mv.lhs <= POS_EPS):
-        return False
+def _k_and_condition(block: MeasureBlock, spec: RelationSpec, explicit_k: float | None):
+    """The k of the bound per row, whether it exists, and the alpha-free
+    part of the condition.  A baseline pins k = 1 and the average
+    relation has no k; only a weighted relation reports it."""
+    rows = len(block.values)
+    if spec.weighted and explicit_k is None:
+        k, has_k = _auto_k(block.values, block.tail_values, spec.condition)
+    else:
+        k = np.full(rows, explicit_k if spec.weighted else 1.0)
+        has_k = np.ones(rows, dtype=bool)
+    vals = block.values
     if spec.condition is ConditionMode.POSITIVITY:
-        return True  # covered by the positivity gate above
-    if k is None:
-        return False
-    if spec.condition is ConditionMode.ORDERING:
-        return check_ordering_condition(mv.values, k)
-    if spec.condition is ConditionMode.TAIL_SUM:
-        holds = check_tail_sum_condition(mv.values, k)
-        if holds:
-            # the tail sum dominates the single next term, so the ordering
-            # condition is implied at the same k
-            if not check_ordering_condition(mv.values, k):
-                raise RuntimeError("tail-sum condition held but ordering did not")
-        return holds
-    if spec.condition is ConditionMode.COLLECTIVE_TAIL:
-        return all(
-            k * mv.values[i] >= mv.tail_values[i] - COND_TOL
-            for i in range(len(mv.values) - 1)
-        )
-    raise AssertionError(spec.condition)
+        holds = np.ones(rows, dtype=bool)
+    elif spec.condition is ConditionMode.ORDERING:
+        holds = check_ordering_condition(vals, k)
+    elif spec.condition is ConditionMode.TAIL_SUM:
+        holds = check_tail_sum_condition(vals, k) & has_k
+        # the tail sum dominates the single next term, so the ordering
+        # condition is implied at the same k
+        if (holds & np.logical_not(check_ordering_condition(vals, k))).any():
+            raise RuntimeError("tail-sum condition held but ordering did not")
+    else:
+        holds = (k[:, None] * vals[:, :-1] >= block.tail_values - COND_TOL).all(axis=1)
+    return k, has_k, holds & has_k
+
+
+def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportColumns]:
+    """Evaluate every ``(relation, alpha)`` of ``keys`` on the rows of
+    ``block``, one :class:`ReportColumns` per key in order.
+
+    ``k_policy`` is ``"auto"`` (minimal admissible k per row) or an
+    explicit float in (0, 1], checked first for every relation.
+    Out-of-range alpha and a mismatched measure kind are errors; an
+    unsatisfiable hypothesis yields a not-evaluated row, not an error.
+    """
+    explicit_k = _explicit_k(k_policy)
+    keys = [(relation, float(alpha)) for relation, alpha in keys]
+    for relation, alpha in keys:
+        spec = REGISTRY[relation]
+        if block.kind is not spec.kind:
+            raise ValueError(
+                f"{relation.value} applies to {spec.kind.value} vectors, got {block.kind.value}"
+            )
+        if not spec.alpha_range.contains(alpha):
+            raise ValueError(
+                f"alpha = {alpha} outside the range of {relation.value} ({spec.alpha_range.value})"
+            )
+        if spec.condition is ConditionMode.COLLECTIVE_TAIL and block.tail_values is None:
+            raise ValueError("the collective-tail relation needs MeasureVector.tail_values")
+
+    vals, lhs = block.values, block.lhs
+    # the alpha <= 0 hypothesis: every value and the full-cut value nonzero
+    positive = (vals > POS_EPS).all(axis=1) & (lhs > POS_EPS)
+    conditions: dict = {}  # (condition mode, weighted) -> (k, has_k, holds)
+    powers: dict = {}  # alpha -> (powers, defined, lhs_pow, has_lhs_pow)
+    baselines: dict = {}  # (alpha, exponent) -> the pattern sum at base alpha
+    out = []
+    for relation, alpha in keys:
+        spec = REGISTRY[relation]
+        if (spec.condition, spec.weighted) not in conditions:
+            conditions[spec.condition, spec.weighted] = _k_and_condition(block, spec, explicit_k)
+        k, has_k, holds = conditions[spec.condition, spec.weighted]
+        if alpha <= 0.0:
+            holds = holds & positive
+        if alpha not in powers:
+            has_lhs_pow = (lhs > POS_EPS) | (alpha > 0.0)
+            powers[alpha] = _powers(vals, alpha) + (
+                float_pow(np.where(has_lhs_pow, lhs, 1.0), alpha), has_lhs_pow)
+        pows, defined, lhs_pow, has_lhs_pow = powers[alpha]
+
+        kim_rhs = np.zeros(len(vals))
+        has_kim_rhs = np.zeros(len(vals), dtype=bool)
+        if spec.exponent == "average":
+            rhs, has_rhs = _mean(pows), defined
+        else:
+            if (alpha, spec.exponent) not in baselines:
+                baselines[alpha, spec.exponent] = _pattern_sum(pows, alpha, spec.exponent)
+            if spec.weighted:
+                rhs = _pattern_sum(pows, weight_factor(alpha, np.where(has_k, k, 1.0)), spec.exponent)
+                if alpha >= 0.0:
+                    kim_rhs, has_kim_rhs = baselines[alpha, spec.exponent], defined
+            else:
+                rhs = baselines[alpha, spec.exponent]
+            has_rhs = defined & has_k
+
+        evaluated = holds & has_rhs & has_lhs_pow
+        gap = (lhs_pow - rhs) if spec.geq else (rhs - lhs_pow)
+        out.append(ReportColumns(
+            relation=relation,
+            alpha=alpha,
+            k=k,
+            has_k=has_k if spec.weighted else np.zeros(len(vals), dtype=bool),
+            condition=holds,
+            lhs_pow=lhs_pow,
+            has_lhs_pow=has_lhs_pow,
+            rhs=rhs,
+            has_rhs=has_rhs,
+            kim_rhs=kim_rhs,
+            has_kim_rhs=has_kim_rhs,
+            evaluated=evaluated,
+            gap=gap,
+            satisfied=gap >= -SAT_TOL,
+        ))
+    return out
 
 
 def evaluate_relation(mv: MeasureVector, relation: RelationId, alpha: float,
                       k_policy="auto") -> RelationReport:
-    """Evaluate one relation on ``mv`` at power ``alpha``.
+    """Evaluate one relation on ``mv`` at power ``alpha``: the one-row
+    case of :func:`evaluate_block`.
 
     ``k_policy`` is ``"auto"`` (minimal admissible k) or an explicit float
-    in (0, 1].  Out-of-range alpha and a mismatched measure kind are
-    errors; an unsatisfiable hypothesis yields a not-evaluated report, not
-    an error.
+    in (0, 1], checked for every relation.  Out-of-range alpha and a
+    mismatched measure kind are errors; an unsatisfiable hypothesis yields
+    a not-evaluated report, not an error.
     """
-    spec = REGISTRY[relation]
-    if mv.kind is not spec.kind:
-        raise ValueError(
-            f"{relation.value} applies to {spec.kind.value} vectors, got {mv.kind.value}"
-        )
-    alpha = float(alpha)
-    if not spec.alpha_range.contains(alpha):
-        raise ValueError(
-            f"alpha = {alpha} outside the range of {relation.value} ({spec.alpha_range.value})"
-        )
-
-    if spec.condition is ConditionMode.COLLECTIVE_TAIL and mv.tail_values is None:
-        raise ValueError("the collective-tail relation needs MeasureVector.tail_values")
-
-    k = _resolve_k(spec, mv, k_policy)
-    condition = _condition_holds(spec, mv, k, alpha)
-
-    lhs_pow = None
-    if mv.lhs > POS_EPS or alpha > 0.0:
-        lhs_pow = float(mv.lhs**alpha)
-    rhs = kim_rhs = None
-    if spec.exponent == "average":
-        rhs = bound_average(mv.values, alpha)
-    else:
-        powers = _powers(mv.values, alpha)
-        if powers is not None and k is not None:
-            base = weight_factor(alpha, k) if spec.weighted else alpha
-            rhs = _pattern_sum(powers, base, spec.exponent)
-        if powers is not None and spec.weighted and alpha >= 0.0:
-            kim_rhs = _pattern_sum(powers, alpha, spec.exponent)
-    tightness = None
-    if kim_rhs is not None and rhs is not None:
-        tightness = (rhs - kim_rhs) if spec.geq else (kim_rhs - rhs)
-
-    gap = None
-    satisfied = None
-    if condition and rhs is not None and lhs_pow is not None:
-        gap = (lhs_pow - rhs) if spec.geq else (rhs - lhs_pow)
-        satisfied = bool(gap >= -SAT_TOL)
-
-    return RelationReport(
-        relation=relation,
-        alpha=alpha,
-        k=k if spec.weighted else None,
-        condition_holds=condition,
-        lhs_pow=lhs_pow,
-        rhs=rhs,
-        satisfied=satisfied,
-        gap=gap,
-        kim_rhs=kim_rhs,
-        tightness_delta=tightness,
-    )
+    return evaluate_block(mv.block, [(relation, alpha)], k_policy)[0].report(0)

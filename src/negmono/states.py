@@ -35,6 +35,40 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_PY_POW = np.frompyfunc(pow, 2, 1)
+
+
+def float_pow(x, y) -> np.ndarray:
+    """``x ** y`` elementwise through Python's float ``pow``.
+
+    ``np.power`` rounds differently from the C ``pow`` behind Python's
+    ``**`` (on an AVX-512 host it differs on a few percent of values), so
+    every power a report carries goes through here to stay bit for bit
+    the value a scalar ``**`` gives.  Inputs broadcast and are cast to
+    Python floats first; the result is a float array (0-d for scalars).
+    """
+    return np.asarray(_PY_POW(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
+
+
+def check_density_block(mats: np.ndarray) -> None:
+    """The :class:`DensityMatrix` checks (Hermitian within 1e-12, unit
+    trace within 1e-12, no eigenvalue below -1e-10) on a matrix or on
+    every matrix of a stack ``(..., d, d)``; the first failure raises."""
+    herm = mats.conj().swapaxes(-1, -2)
+    asym = np.abs(mats - herm).max(axis=(-2, -1))
+    if (asym > HERM_ATOL).any():
+        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym.max():.3e}")
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if (off > HERM_ATOL).any():
+        raise ValueError(f"matrix trace {tr.flat[off.argmax()]} is not 1")
+    herm += mats  # the Hermitian part, in place: a stack can be large
+    herm *= 0.5
+    min_eig = np.linalg.eigvalsh(herm).min(axis=-1)
+    if (min_eig < -PSD_ATOL).any():
+        raise ValueError(f"matrix has negative eigenvalue {min_eig.min():.3e}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over explicit tensor factors.
@@ -87,15 +121,7 @@ class DensityMatrix:
         d = prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        asym = np.abs(mat - mat.conj().T).max()
-        if asym > HERM_ATOL:
-            raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-        tr = mat.trace()
-        if abs(tr - 1.0) > HERM_ATOL:
-            raise ValueError(f"matrix trace {tr} is not 1")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        if min_eig < -PSD_ATOL:
-            raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        check_density_block(mat)
         object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "dims", dims)
 
@@ -172,14 +198,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     preserves the trace exactly up to roundoff.
     """
     keep = _check_subsystems(keep, rho.n_factors)
-    dims = list(rho.dims)
-    drop = [i for i in range(len(dims)) if i not in keep]
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    for i in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + len(dims))
-        del dims[i]
-    d = prod(dims)
-    return DensityMatrix(t.reshape(d, d), tuple(dims))
+    return DensityMatrix(partial_trace_block(rho.matrix, rho.dims, keep),
+                         tuple(rho.dims[i] for i in keep))
+
+
+def partial_trace_block(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """:func:`partial_trace` of every matrix in a stack ``(..., d, d)`` over
+    ``dims``, unvalidated: one ``np.trace`` per dropped factor, on axes
+    shifted past the stack's, so each result is bit for bit the one a
+    single matrix gets."""
+    off = mats.ndim - 2
+    cur = list(dims)
+    t = mats.reshape(mats.shape[:off] + tuple(dims) * 2)
+    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=off + i, axis2=off + i + len(cur))
+        del cur[i]
+    d = prod(cur)
+    return t.reshape(mats.shape[:off] + (d, d))
 
 
 def partial_transpose(rho, subsystems, dims=None) -> np.ndarray:

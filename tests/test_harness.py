@@ -352,9 +352,18 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_usage_error_exit_one(self):
-        assert cli_main(["sweep", "ghz3", "--relation", "bogus", "--alphas", "1"]) == 1
-        assert cli_main(["measure", "not-a-state"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "ghz3", "--relation", "bogus", "--alphas", "1"],
+        ["measure", "not-a-state"],
+        ["sweep", "ghz4", "--relation", "mono-hamming", "--alphas", "1,2", "--k", "5"],
+        # k is checked for every relation, also those that take no k
+        ["sweep", "ghz4", "--relation", "mono-hamming-base", "--alphas", "1,2", "--k", "5"],
+        ["sweep", "ghz4", "--relation", "poly-average-neg", "--alphas=-1", "--k", "0"],
+    ], ids=["bad-relation", "bad-state", "k5-mono-hamming", "k5-mono-hamming-base",
+            "k0-poly-average-neg"])
+    def test_usage_error_exit_one(self, argv, capsys):
+        assert cli_main(argv) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_oracle_check_small(self, capsys):
         code = cli_main(["oracle-check", "--samples", "2", "--seed", "1", "--restarts", "8"])

@@ -327,10 +327,19 @@ class TestEvaluateRelation:
         assert not rep.condition_holds
         assert rep.satisfied is None
 
-    def test_explicit_k_out_of_range_rejected(self):
-        mv = scren_vec([1.0, 0.5], 2.0)
+    # k_policy is checked for every relation, also those that take no k
+    @pytest.mark.parametrize("relation,alpha,k_policy", [
+        (RelationId.MONO_HAMMING, 2.0, 1.5),
+        (RelationId.MONO_HAMMING_BASE, 2.0, 5.0),
+        (RelationId.MONO_HAMMING_BASE, 2.0, "bogus"),
+        (RelationId.POLY_LADDER_BASE, 0.5, 0.0),
+        (RelationId.POLY_AVERAGE_NEG, -1.0, -3.0),
+    ], ids=["mono-hamming-1.5", "mono-hamming-base-5", "mono-hamming-base-bogus",
+            "poly-ladder-base-0", "poly-average-neg--3"])
+    def test_explicit_k_out_of_range_rejected(self, relation, alpha, k_policy):
+        mv = MeasureVector((1.0, 0.5), REGISTRY[relation].kind, 2.0)
         with pytest.raises(ValueError):
-            evaluate_relation(mv, RelationId.MONO_HAMMING, 2.0, 1.5)
+            evaluate_relation(mv, relation, alpha, k_policy)
 
     def test_gap_sign_conventions(self):
         mono = evaluate_relation(scren_vec([1.0, 1.0], 4.0), RelationId.MONO_HAMMING, 2.0)
