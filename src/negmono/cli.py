@@ -63,19 +63,21 @@ def _parse_k(text: str):
     return "auto" if text == "auto" else float(text)
 
 
-def _roof_from_args(args) -> RoofConfig:
-    return RoofConfig(
-        cardinality=args.cardinality,
-        restarts=args.restarts,
-        seed=args.roof_seed,
-    )
+def _roof_flags(args) -> dict:
+    """The roof fields given on the command line, by RoofConfig name."""
+    given = {"cardinality": args.cardinality, "restarts": args.restarts, "seed": args.roof_seed}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _add_roof_args(p):
-    p.add_argument("--restarts", type=int, default=RoofConfig().restarts,
-                   help="roof optimizer restarts (default: %(default)s, the library default)")
-    p.add_argument("--cardinality", type=int, default=None, help="decomposition size")
-    p.add_argument("--roof-seed", type=int, default=0)
+    # unset flags leave the config file's roof, or the library default
+    defaults = RoofConfig()
+    p.add_argument("--restarts", type=int, default=None,
+                   help=f"roof optimizer restarts (library default {defaults.restarts})")
+    p.add_argument("--cardinality", type=int, default=None,
+                   help="decomposition size (library default min(rank^2, 16))")
+    p.add_argument("--roof-seed", type=int, default=None,
+                   help=f"roof optimizer seed (library default {defaults.seed})")
 
 
 def _build_parser() -> _Parser:
@@ -124,7 +126,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_measure(args) -> int:
     psi = _load_state(args.state)
-    result = analyze(psi, _roof_from_args(args), sort_values=args.sort_values)
+    result = analyze(psi, RoofConfig(**_roof_flags(args)), sort_values=args.sort_values)
     dims = "x".join(str(d) for d in psi.dims)
     print(f"state: {args.state}  dims: {dims}")
     print(f"scren    lhs={result.scren.lhs:.12g}  values="
@@ -138,7 +140,7 @@ def _cmd_sweep(args) -> int:
     psi = _load_state(args.state)
     reports = sweep(
         psi, args.relation, args.alphas, args.k,
-        sort_values=args.sort_values, roof_config=_roof_from_args(args),
+        sort_values=args.sort_values, roof_config=RoofConfig(**_roof_flags(args)),
     )
     emit_report(reports, args.format, args.out)
     return 2 if any(r.satisfied is False for r in reports) else 0
@@ -163,12 +165,11 @@ def _cmd_campaign(args) -> int:
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
-    if "roof" not in base:
-        base["roof"] = {
-            "cardinality": args.cardinality,
-            "restarts": args.restarts,
-            "seed": args.roof_seed,
-        }
+    # flags override the file's roof fields; a roof that is not an object
+    # is left for campaign_config_from_dict to reject
+    roof = base.get("roof", {})
+    if isinstance(roof, dict):
+        base["roof"] = {**roof, **_roof_flags(args)}
     config = campaign_config_from_dict(base)
     report = run_campaign(config)
     emit_report(report, args.format, args.out)

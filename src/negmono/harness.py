@@ -3,14 +3,16 @@
 Analysis runs on blocks of states.  :func:`run_campaign` walks its
 samples in fixed blocks of ``_BLOCK`` indices; each block is analysed at
 once (one batched SVD for the full-cut values, a batched outer product
-for the density matrices, and for every 2x2 marginal a batched partial
-trace and spin-flip spectrum, each stack checked as
+for the density matrices, and for every marginal rho_{0j} a batched
+partial trace, each stack checked as
 :class:`~negmono.states.DensityMatrix` checks one matrix), and its
 relations are evaluated as columns by
-:func:`negmono.relations.evaluate_block`.  Marginals that are not 2x2 and
-the collective tails go per state through ``scren``/``screnoa`` and the
-roof.  :func:`analyze` is the block of one state, so a campaign and a
-single analysis share every float: reports do not depend on the block
+:func:`negmono.relations.evaluate_block`.  Which method gives a measure
+value is decided in one place, :func:`negmono.measures.squared_roof_block`
+(two-qubit closed forms, then the pure-state formula, then the roof):
+this module hands it each marginal's stack, and each collective tail as a
+stack of one.  :func:`analyze` is the block of one state, so a campaign
+and a single analysis share every float: reports do not depend on the block
 size.  Batching keeps each value bit for bit: every power goes through
 Python's ``pow`` per element (``states.float_pow``, never ``np.power``)
 and every sum over a state's values adds left to right from zero.
@@ -18,7 +20,6 @@ and every sum over a state's values adds left to right from zero.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import numbers
@@ -28,18 +29,20 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# pure_scren and two_qubit_tangle_and_toa are the one-state forms of the
-# block kernels used here; they stay bound in this module, where the
-# benchmark's tracer wraps each measure layer
+# scren, screnoa, pure_scren and two_qubit_tangle_and_toa are the
+# one-state forms of squared_roof_block, and density and partial_trace
+# those of the block state functions used here; they stay bound in this
+# module, where the benchmark's tracer wraps each layer
 from .measures import (  # noqa: F401
     Bipartition,
     pure_negativity_block,
     pure_scren,
     scren,
     screnoa,
-    two_qubit_block,
+    squared_roof_block,
     two_qubit_tangle_and_toa,
 )
+from .states import density, partial_trace  # noqa: F401
 from .relations import (
     SAT_TOL,
     MeasureBlock,
@@ -53,17 +56,8 @@ from .relations import (
     evaluate_relation,
     row_sum,
 )
-from .roof import RoofConfig
-from .states import (
-    DensityMatrix,
-    PureState,
-    check_density_block,
-    density,
-    haar_random_pure,
-    ket,
-    partial_trace,
-    partial_trace_block,
-)
+from .roof import Direction, RoofConfig
+from .states import PureState, check_density_block, haar_random_pure, ket, partial_trace_block
 
 # states per block of run_campaign: 1 MB of density matrices at five
 # qubits, so peak memory does not grow with the sample count
@@ -144,8 +138,8 @@ def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
     """Measure vectors of ``psi`` with A = subsystem 0 and B_j the others.
 
     ``lhs`` is the pure-state SCREN across A | rest (equal for both kinds
-    since minimum and maximum roofs coincide on pure states).  Two-qubit
-    marginals use the closed forms, anything else the roof optimizer.
+    since minimum and maximum roofs coincide on pure states).  Marginals
+    and tails are measured by :func:`~negmono.measures.squared_roof_block`.
     ``sort_values`` relabels the B subsystems so each vector is
     non-increasing (independently per kind); with ``include_tails`` the
     SCRENoA vector also carries the collective tail measures, computed in
@@ -170,24 +164,14 @@ def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
     rho = amps[:, :, None] * amps.conj()[:, None, :]
     check_density_block(rho)
 
-    @functools.cache
-    def rho_of(b: int) -> DensityMatrix:
-        # the validated density matrix of one state, for the roof
-        return density(states[b])
-
     cut = Bipartition.split(2, (0,))
     scren_vals = np.empty((rows, n - 1))
     screnoa_vals = np.empty((rows, n - 1))
     for j in range(1, n):
-        if dims[0] == dims[j] == 2:
-            marg = partial_trace_block(rho, dims, (0, j))
-            check_density_block(marg)
-            scren_vals[:, j - 1], screnoa_vals[:, j - 1] = two_qubit_block(marg)
-            continue
-        for b in range(rows):
-            marg = partial_trace(rho_of(b), (0, j))
-            scren_vals[b, j - 1] = scren(marg, cut, roof_config).value
-            screnoa_vals[b, j - 1] = screnoa(marg, cut, roof_config).value
+        marg = partial_trace_block(rho, dims, (0, j))
+        check_density_block(marg)
+        scren_col, screnoa_col = squared_roof_block(marg, (dims[0], dims[j]), cut, roof_config)
+        scren_vals[:, j - 1], screnoa_vals[:, j - 1] = scren_col.values, screnoa_col.values
 
     scren_order = screnoa_order = np.broadcast_to(np.arange(n - 1), (rows, n - 1))
     if sort_values:
@@ -205,8 +189,12 @@ def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
                     tails[b, i] = screnoa_vals[b, tail_pos[0]]
                     continue
                 keep = (0,) + tuple(sorted(int(p) + 1 for p in tail_pos))
-                reduced = partial_trace(rho_of(b), keep)
-                tails[b, i] = screnoa(reduced, Bipartition.split(len(keep), (0,)), roof_config).value
+                reduced = partial_trace_block(rho[b:b + 1], dims, keep)
+                check_density_block(reduced)
+                (tail,) = squared_roof_block(reduced, tuple(dims[k] for k in keep),
+                                             Bipartition.split(len(keep), (0,)), roof_config,
+                                             (Direction.MAX,))
+                tails[b, i] = tail.values[0]
 
     return (
         MeasureBlock(np.take_along_axis(scren_vals, scren_order, axis=1), MeasureKind.SCREN, lhs),
@@ -313,7 +301,8 @@ class RelationStats:
         self.evaluated += int(evaluated.sum())
         self.violations += int((evaluated & ~cols.satisfied).sum())
         self.worst_gap = _worst(self.worst_gap, cols.gap[evaluated])
-        self._tightness_values += cols.tightness[evaluated & cols.has_tightness].tolist()
+        tightness = cols.tightness[evaluated]
+        self._tightness_values += tightness[~np.isnan(tightness)].tolist()
 
 
 def _worst(current: float | None, gaps: np.ndarray) -> float | None:
@@ -452,6 +441,12 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per row of values; None is an empty cell."""
+    lines = [header] + [",".join(_csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 REPORT_CSV_HEADER = "relation,alpha,k,condition,lhs_pow,rhs,kim_rhs,gap,tightness_delta"
 
 
@@ -471,60 +466,15 @@ def relation_report_dict(rep: RelationReport) -> dict:
 
 
 def relation_reports_to_csv(reports: list[RelationReport]) -> str:
-    lines = [REPORT_CSV_HEADER]
-    for rep in reports:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    rep.relation.value,
-                    rep.alpha,
-                    rep.k,
-                    rep.condition_holds,
-                    rep.lhs_pow,
-                    rep.rhs,
-                    rep.kim_rhs,
-                    rep.gap,
-                    rep.tightness_delta,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """The rows of :func:`relation_report_dict` but ``satisfied``, which
+    follows from ``gap``."""
+    rows = ([v for key, v in relation_report_dict(rep).items() if key != "satisfied"]
+            for rep in reports)
+    return _csv(REPORT_CSV_HEADER, rows)
 
 
 def relation_reports_to_json(reports: list[RelationReport]) -> str:
     return _fmt([relation_report_dict(r) for r in reports]) + "\n"
-
-
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    if text in ("true", "false"):
-        return text == "true"
-    return float(text)
-
-
-def relation_reports_from_csv(text: str) -> list[RelationReport]:
-    """Inverse of :func:`relation_reports_to_csv`; ``satisfied`` is
-    reconstructed from the condition flag and gap (the satisfaction rule
-    is a pure function of both)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != REPORT_CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        relation = RelationId(cells[0])
-        alpha = float(cells[1])
-        k = _parse_cell(cells[2])
-        condition = _parse_cell(cells[3])
-        lhs_pow, rhs, kim_rhs, gap, tight = (_parse_cell(c) for c in cells[4:9])
-        satisfied = None if gap is None else bool(gap >= -SAT_TOL)
-        out.append(
-            RelationReport(relation, alpha, k, bool(condition), lhs_pow, rhs,
-                           satisfied, gap, kim_rhs, tight)
-        )
-    return out
 
 
 def campaign_config_dict(config: CampaignConfig) -> dict:
@@ -611,9 +561,7 @@ CAMPAIGN_CSV_HEADER = (
 def campaign_report_csv(report: CampaignReport) -> str:
     """The ``relations`` rows of :func:`campaign_report_dict`, one per line."""
     rows = campaign_report_dict(report)["relations"]
-    lines = [CAMPAIGN_CSV_HEADER]
-    lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv(CAMPAIGN_CSV_HEADER, (row.values() for row in rows))
 
 
 def emit_report(obj, fmt: str, path=None) -> None:

@@ -6,6 +6,11 @@ negativity over all decompositions, squared), SCRENoA the squared concave
 roof (maximum).  For pure states both collapse to the pure-state
 negativity squared; for two-qubit states the Wootters spin-flip algebra
 gives exact closed forms that double as oracles for the roof optimizer.
+
+:func:`squared_roof_block` is the one place that picks how SCREN and
+SCRENoA are computed, over a stack of density matrices: the two-qubit
+closed forms first, then the pure-state formula, then the roof optimizer.
+:func:`scren` and :func:`screnoa` are its one-matrix case.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,37 +189,61 @@ def _squared_gap(value_pre: float, spread: float, direction: Direction) -> float
     return value_pre**2 - low**2
 
 
-def _squared_roof(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None,
-                  direction: Direction) -> MeasureValue:
-    """SCREN (``Direction.MIN``) or SCRENoA (``Direction.MAX``) of ``rho``.
+class MeasureColumn(NamedTuple):
+    """:class:`MeasureValue` fields over the rows of a stack."""
 
-    Dispatch: pure inputs use the pure-state formula, two-qubit states the
-    Wootters closed forms, everything else the roof optimizer.  The
-    optimizer value is an upper bound on the true roof for MIN and a lower
-    bound for MAX; restart disagreement is reported in ``certified_gap``,
-    never silently.
+    values: np.ndarray
+    methods: list[Method]
+    certified_gaps: np.ndarray
+
+    def row(self, i: int) -> MeasureValue:
+        return MeasureValue(float(self.values[i]), self.methods[i], float(self.certified_gaps[i]))
+
+
+def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition,
+                       config: RoofConfig | None = None,
+                       directions=(Direction.MIN, Direction.MAX)) -> tuple[MeasureColumn, ...]:
+    """SCREN (``Direction.MIN``) and SCRENoA (``Direction.MAX``) of every
+    checked density matrix in a stack ``(rows, d, d)`` over ``dims``: one
+    :class:`MeasureColumn` per entry of ``directions``, in that order.
+
+    Dispatch: a 2x2 stack takes the Wootters closed forms, both directions
+    from one batched spin-flip spectrum (exact for pure and mixed states
+    alike); otherwise a pure row takes the pure-state formula and every
+    other row the roof optimizer, once per direction.  The optimizer value
+    is an upper bound on the true roof for MIN and a lower bound for MAX;
+    restart disagreement is reported in ``certified_gaps``, never silently.
     """
-    cut.validate(rho.n_factors)
-    psi = _dominant_pure_state(rho)
-    if psi is not None:
-        return MeasureValue(pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
-    if rho.dims == (2, 2):
-        tangle, toa = two_qubit_tangle_and_toa(rho)
-        value = tangle if direction is Direction.MIN else toa
-        return MeasureValue(value, Method.TWO_QUBIT_CLOSED_FORM, 0.0)
-    res = optimize_roof(rho, cut, replace(config or RoofConfig(), direction=direction))
-    return MeasureValue(
-        value=res.value**2,
-        method=Method.ROOF_OPTIMIZER,
-        certified_gap=_squared_gap(res.value, res.restart_spread, direction),
-    )
+    cut.validate(len(dims))
+    rows = len(mats)
+    if tuple(dims) == (2, 2):
+        tangle, toa = two_qubit_block(mats)
+        exact = {Direction.MIN: tangle, Direction.MAX: toa}
+        return tuple(MeasureColumn(exact[d], [Method.TWO_QUBIT_CLOSED_FORM] * rows, np.zeros(rows))
+                     for d in directions)
+    cols = [MeasureColumn(np.empty(rows), [None] * rows, np.empty(rows)) for _ in directions]
+    for b in range(rows):
+        rho = DensityMatrix(mats[b], dims)
+        psi = _dominant_pure_state(rho)
+        for col, direction in zip(cols, directions):
+            if psi is not None:
+                entry = (pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
+            else:
+                res = optimize_roof(rho, cut, replace(config or RoofConfig(), direction=direction))
+                entry = (res.value**2, Method.ROOF_OPTIMIZER,
+                         _squared_gap(res.value, res.restart_spread, direction))
+            col.values[b], col.methods[b], col.certified_gaps[b] = entry
+    return tuple(cols)
 
 
 def scren(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None) -> MeasureValue:
-    """Squared convex-roof extended negativity of ``rho`` across ``cut``."""
-    return _squared_roof(rho, cut, config, Direction.MIN)
+    """Squared convex-roof extended negativity of ``rho`` across ``cut``:
+    the one-matrix case of :func:`squared_roof_block`."""
+    (col,) = squared_roof_block(rho.matrix[None], rho.dims, cut, config, (Direction.MIN,))
+    return col.row(0)
 
 
 def screnoa(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None) -> MeasureValue:
     """Squared concave-roof (of-assistance) counterpart of :func:`scren`."""
-    return _squared_roof(rho, cut, config, Direction.MAX)
+    (col,) = squared_roof_block(rho.matrix[None], rho.dims, cut, config, (Direction.MAX,))
+    return col.row(0)

@@ -51,6 +51,7 @@ zero, as Python 3.11's ``sum`` of floats does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -427,53 +428,49 @@ class RelationReport:
 @dataclass(frozen=True)
 class ReportColumns:
     """One relation at one alpha over the rows of a :class:`MeasureBlock`:
-    the fields of :class:`RelationReport` as columns.
-
-    A field that a report may leave None comes with a ``has_*`` mask (for
-    ``gap`` and ``satisfied`` it is ``evaluated``); where the mask is
-    False the column's entry means nothing.
+    the fields of :class:`RelationReport` as columns, NaN where a report
+    has None.  ``gap`` is NaN exactly on the rows that are not evaluated.
     """
 
     relation: RelationId
     alpha: float
     k: np.ndarray
-    has_k: np.ndarray
     condition: np.ndarray
     lhs_pow: np.ndarray
-    has_lhs_pow: np.ndarray
     rhs: np.ndarray
-    has_rhs: np.ndarray
     kim_rhs: np.ndarray
-    has_kim_rhs: np.ndarray
-    evaluated: np.ndarray
     gap: np.ndarray
-    satisfied: np.ndarray
+
+    @property
+    def evaluated(self) -> np.ndarray:
+        return ~np.isnan(self.gap)
+
+    @property
+    def satisfied(self) -> np.ndarray:
+        """Meaningful on evaluated rows only (False elsewhere)."""
+        return self.gap >= -SAT_TOL
 
     @property
     def tightness(self) -> np.ndarray:
         return (self.rhs - self.kim_rhs) if REGISTRY[self.relation].geq else (self.kim_rhs - self.rhs)
 
-    @property
-    def has_tightness(self) -> np.ndarray:
-        return self.has_rhs & self.has_kim_rhs
-
     def report(self, i: int) -> RelationReport:
-        tightness = self.tightness
+        def pick(column):
+            value = float(column[i])
+            return None if math.isnan(value) else value
 
-        def pick(column, mask):
-            return float(column[i]) if mask[i] else None
-
+        gap = pick(self.gap)
         return RelationReport(
             relation=self.relation,
             alpha=self.alpha,
-            k=pick(self.k, self.has_k),
+            k=pick(self.k),
             condition_holds=bool(self.condition[i]),
-            lhs_pow=pick(self.lhs_pow, self.has_lhs_pow),
-            rhs=pick(self.rhs, self.has_rhs),
-            satisfied=bool(self.satisfied[i]) if self.evaluated[i] else None,
-            gap=pick(self.gap, self.evaluated),
-            kim_rhs=pick(self.kim_rhs, self.has_kim_rhs),
-            tightness_delta=pick(tightness, self.has_tightness),
+            lhs_pow=pick(self.lhs_pow),
+            rhs=pick(self.rhs),
+            satisfied=None if gap is None else gap >= -SAT_TOL,
+            gap=gap,
+            kim_rhs=pick(self.kim_rhs),
+            tightness_delta=pick(self.tightness),
         )
 
 
@@ -559,8 +556,7 @@ def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportCol
                 float_pow(np.where(has_lhs_pow, lhs, 1.0), alpha), has_lhs_pow)
         pows, defined, lhs_pow, has_lhs_pow = powers[alpha]
 
-        kim_rhs = np.zeros(len(vals))
-        has_kim_rhs = np.zeros(len(vals), dtype=bool)
+        kim_rhs = np.full(len(vals), np.nan)
         if spec.exponent == "average":
             rhs, has_rhs = _mean(pows), defined
         else:
@@ -569,7 +565,7 @@ def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportCol
             if spec.weighted:
                 rhs = _pattern_sum(pows, weight_factor(alpha, np.where(has_k, k, 1.0)), spec.exponent)
                 if alpha >= 0.0:
-                    kim_rhs, has_kim_rhs = baselines[alpha, spec.exponent], defined
+                    kim_rhs = np.where(defined, baselines[alpha, spec.exponent], np.nan)
             else:
                 rhs = baselines[alpha, spec.exponent]
             has_rhs = defined & has_k
@@ -579,18 +575,12 @@ def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportCol
         out.append(ReportColumns(
             relation=relation,
             alpha=alpha,
-            k=k,
-            has_k=has_k if spec.weighted else np.zeros(len(vals), dtype=bool),
+            k=np.where(has_k, k, np.nan) if spec.weighted else np.full(len(vals), np.nan),
             condition=holds,
-            lhs_pow=lhs_pow,
-            has_lhs_pow=has_lhs_pow,
-            rhs=rhs,
-            has_rhs=has_rhs,
+            lhs_pow=np.where(has_lhs_pow, lhs_pow, np.nan),
+            rhs=np.where(has_rhs, rhs, np.nan),
             kim_rhs=kim_rhs,
-            has_kim_rhs=has_kim_rhs,
-            evaluated=evaluated,
-            gap=gap,
-            satisfied=gap >= -SAT_TOL,
+            gap=np.where(evaluated, gap, np.nan),
         ))
     return out
 

@@ -19,6 +19,7 @@ the last bit, so the trajectory is the one-candidate-at-a-time one (see
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -376,18 +377,25 @@ def _rotation_coeffs(theta: float) -> np.ndarray:
     )
 
 
-def _rotation_blocks(step: float) -> tuple[np.ndarray, list[np.ndarray]]:
+@functools.cache
+def _rotation_blocks(step: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The four trial rotations at ``step`` and, per variant, its expansion
     ladder: the variant's (2, 2) blocks at angles ``step * 2, step * 4, ...``
     while the angle stays below 1.6, stacked in that order into one
-    C-contiguous (2L, 2) matrix.  Steps start at 0.5, so L >= 1."""
+    C-contiguous (2L, 2) matrix.  Steps start at 0.5, so L >= 1.  Steps
+    are ``0.5 * 2**-k``, so the cache stays small; its arrays are
+    read-only."""
     thetas = []
     scale = 2.0
     while step * scale < 1.6:
         thetas.append(step * scale)
         scale *= 2.0
     stack = np.stack([_rotation_coeffs(theta) for theta in thetas])
-    return _rotation_coeffs(step), [stack[:, 2 * t : 2 * t + 2].reshape(-1, 2) for t in range(4)]
+    blocks = (_rotation_coeffs(step),) + tuple(
+        stack[:, 2 * t : 2 * t + 2].reshape(-1, 2) for t in range(4))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks[0], blocks[1:]
 
 
 def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple[float, np.ndarray]:
@@ -398,13 +406,13 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
     call; the best one, if it improves, is expanded along its expansion
     ladder (doubling angles below 1.6), evaluated in one more call, and the
     last candidate of the improving prefix is applied.  The rotation blocks
-    are built once per step, and the applied candidate's contributions are
-    taken from the call that produced them.  Since ``_Objective.contribs``
-    is row-wise (a row's value does not depend on the other rows of its
-    call), this gives bit for bit the values of evaluating each candidate
-    on its own, so the trajectory is the plain one-candidate-at-a-time
-    search.  The step halves once a sweep gains less than
-    ``1e-2 * step**2``.
+    of each step size are built once per process, and the applied
+    candidate's contributions are taken from the call that produced them.
+    Since ``_Objective.contribs`` is row-wise (a row's value does not
+    depend on the other rows of its call), this gives bit for bit the
+    values of evaluating each candidate on its own, so the trajectory is
+    the plain one-candidate-at-a-time search.  The step halves once a
+    sweep gains less than ``1e-2 * step**2``.
     """
     minimize = cfg.direction is Direction.MIN
     sign = 1.0 if minimize else -1.0
@@ -416,15 +424,12 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
         return total - 1.0, V
     contribs = values.tolist()
     step = 0.5
-    blocks_step = None
     sweeps = 0
     while step > cfg.step_tolerance and sweeps < cfg.max_iters:
         if minimize and total - 1.0 <= cfg.min_floor:
             break
         sweeps += 1
-        if step != blocks_step:
-            coeffs, ladders = _rotation_blocks(step)
-            blocks_step = step
+        coeffs, ladders = _rotation_blocks(step)
         gain = 0.0
         for i in range(m - 1):
             for j in range(i + 1, m):

@@ -40,7 +40,8 @@ from negmono import (
     sweep,
     two_qubit_tangle_and_toa,
 )
-from negmono.harness import campaign_report_json
+from negmono.harness import _BLOCK, _analyze_block, campaign_report_json
+from negmono.relations import evaluate_block
 from negmono.roof import optimize_roof
 
 CUT2 = Bipartition.split(2, (0,))
@@ -310,8 +311,9 @@ def test_negative_alpha_relations():
     4. every Haar mono-ladder-neg violation at an integer alpha is
        rechecked in exact rational arithmetic from its closed-form values.
 
-    The Haar collective tallies rest on roof lower bounds of the tails, so
-    they are printed but carry no assertion.
+    The Haar sub-ensembles are analysed and evaluated in blocks, as
+    campaigns are.  The Haar collective tallies rest on roof lower bounds
+    of the tails, so they are printed but carry no assertion.
     """
     start = time.perf_counter()
     counts = {}
@@ -330,39 +332,51 @@ def test_negative_alpha_relations():
             if len(counts[key][3]) < 3:
                 counts[key][3].append((bucket, sample_idx, rep.alpha, rep.gap))
 
+    def blocks(cfg, n_samples, roof=None, include_tails=False):
+        # sample indices with their sorted SCREN and SCRENoA blocks
+        for first in range(0, n_samples, _BLOCK):
+            idx = range(first, min(first + _BLOCK, n_samples))
+            states = [sample_state(cfg, i) for i in idx]
+            yield (idx, *_analyze_block(states, roof, True, include_tails))
+
+    def at_grid(relation):
+        return [(relation, alpha) for alpha in NEG_GRID]
+
     # SCREN side: average bound on states with every pairwise value > 1e-6
     cfg4 = CampaignConfig(dims=(2, 2, 2, 2), samples=1, seed=20260808)
     cfg5 = CampaignConfig(dims=(2, 2, 2, 2, 2), samples=1, seed=11)
     na_state_seen = False
     for bucket, cfg, n_samples in (("4q", cfg4, 3000), ("5q", cfg5, 1000)):
-        for i in range(n_samples):
-            result = analyze(sample_state(cfg, i), sort_values=True)
-            scren_ok = min(result.scren.values) > 1e-6
-            screnoa_ok = min(result.screnoa.values) > 1e-6
-            for alpha in NEG_GRID:
-                if scren_ok:
-                    tally("average", evaluate_relation(result.scren, RelationId.POLY_AVERAGE_NEG, alpha), i, bucket)
-                if screnoa_ok:
-                    tally(f"hamming-neg-{bucket}",
-                          evaluate_relation(result.screnoa, RelationId.MONO_HAMMING_NEG, alpha), i, bucket)
-                    rep = evaluate_relation(result.screnoa, RelationId.MONO_LADDER_NEG, alpha)
-                    tally(f"ladder-neg-{bucket}", rep, i, bucket)
-                    if rep.satisfied is False and alpha.is_integer():
-                        ladder_violations.append((result.screnoa, rep))
-                elif not na_state_seen:
-                    rep = evaluate_relation(result.screnoa, RelationId.MONO_HAMMING_NEG, alpha)
-                    assert rep.satisfied is None  # hypothesis failure never reported as a pass
-                    na_state_seen = True
+        for idx, scren_block, screnoa_block in blocks(cfg, n_samples):
+            average = evaluate_block(scren_block, at_grid(RelationId.POLY_AVERAGE_NEG))
+            hamming = evaluate_block(screnoa_block, at_grid(RelationId.MONO_HAMMING_NEG))
+            ladder = evaluate_block(screnoa_block, at_grid(RelationId.MONO_LADDER_NEG))
+            scren_ok = scren_block.values.min(axis=1) > 1e-6
+            screnoa_ok = screnoa_block.values.min(axis=1) > 1e-6
+            for row, i in enumerate(idx):
+                for a, alpha in enumerate(NEG_GRID):
+                    if scren_ok[row]:
+                        tally("average", average[a].report(row), i, bucket)
+                    if screnoa_ok[row]:
+                        tally(f"hamming-neg-{bucket}", hamming[a].report(row), i, bucket)
+                        rep = ladder[a].report(row)
+                        tally(f"ladder-neg-{bucket}", rep, i, bucket)
+                        if rep.satisfied is False and alpha.is_integer():
+                            ladder_violations.append((screnoa_block.row(row), rep))
+                    elif not na_state_seen:
+                        # hypothesis failure never reported as a pass
+                        assert hamming[a].report(row).satisfied is None
+                        na_state_seen = True
 
     # collective tail-measure relation needs the roof maximizer per state
     roof = RoofConfig(restarts=6, seed=3)
-    for i in range(250):
-        result = analyze(sample_state(cfg4, i), roof, sort_values=True, include_tails=True)
-        if min(result.screnoa.values) <= 1e-6:
-            continue
-        for alpha in NEG_GRID:
-            tally("collective-4q",
-                  evaluate_relation(result.screnoa, RelationId.MONO_LADDER_NEG_COLLECTIVE, alpha), i, "4q")
+    for idx, _, screnoa_block in blocks(cfg4, 250, roof, include_tails=True):
+        collective = evaluate_block(screnoa_block, at_grid(RelationId.MONO_LADDER_NEG_COLLECTIVE))
+        for row, i in enumerate(idx):
+            if screnoa_block.values[row].min() <= 1e-6:
+                continue
+            for cols in collective:
+                tally("collective-4q", cols.report(row), i, "4q")
 
     elapsed = time.perf_counter() - start
     lines = []

@@ -15,15 +15,17 @@ from negmono import (
     RelationId,
     RoofConfig,
     analyze,
+    builtin_state,
     density,
     evaluate_relation,
+    ket,
     partial_trace,
     pure_scren,
     run_campaign,
     sample_state,
     scren,
     screnoa,
-    two_qubit_tangle_and_toa,
+    tensor,
 )
 from negmono.harness import (
     _BLOCK,
@@ -42,10 +44,20 @@ CAPPED_ROOF = RoofConfig(restarts=2, max_iters=10, seed=4)
 CUT2 = Bipartition.split(2, (0,))
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3)])
+# states with a pure 2x2 marginal, where the closed forms and the
+# pure-state formula differ in the last bits: |Phi+> (x) |+> and
+# (0.6|00> + 0.8i|11>) (x) |W3>
+PURE_MARGINALS = (
+    tensor(builtin_state("bell"), ket([1, 1], (2,))),
+    tensor(ket([0.6, 0, 0, 0.8j], (2, 2)), builtin_state("w3")),
+)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 2, 2)])
 def test_block_analysis_equals_scalar_path(dims):
     config = CampaignConfig(dims=dims, samples=1, seed=31)
     states = [sample_state(config, i) for i in range(_BLOCK + 3)]
+    states += [psi for psi in PURE_MARGINALS if psi.dims == dims]
     scren_block, screnoa_block = _analyze_block(states, CAPPED_ROOF, False, False)
     assert scren_block.values.shape == (len(states), len(dims) - 1)
     for b, psi in enumerate(states):
@@ -54,12 +66,8 @@ def test_block_analysis_equals_scalar_path(dims):
         rho = density(psi)
         for j in range(1, len(dims)):
             marg = partial_trace(rho, (0, j))
-            if marg.dims == (2, 2):
-                expect = two_qubit_tangle_and_toa(marg)
-            else:
-                expect = (scren(marg, CUT2, CAPPED_ROOF).value,
-                          screnoa(marg, CUT2, CAPPED_ROOF).value)
-            assert (scren_block.values[b, j - 1], screnoa_block.values[b, j - 1]) == expect
+            assert scren_block.values[b, j - 1] == scren(marg, CUT2, CAPPED_ROOF).value
+            assert screnoa_block.values[b, j - 1] == screnoa(marg, CUT2, CAPPED_ROOF).value
 
 
 def _fold_report(st: RelationStats, rep) -> None:

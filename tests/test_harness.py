@@ -23,7 +23,6 @@ from negmono.harness import (
     campaign_config_from_dict,
     campaign_report_json,
     relation_report_dict,
-    relation_reports_from_csv,
     relation_reports_to_csv,
     report_sha256,
 )
@@ -233,20 +232,24 @@ class TestEmission:
             assert key in d
 
     def test_csv_round_trip_lossless(self):
+        # every CSV cell parses back to its JSON value; satisfied is left
+        # out, since it follows from the gap
         reports = self.make_reports()
-        back = relation_reports_from_csv(relation_reports_to_csv(reports))
-        assert len(back) == len(reports)
-        for orig, parsed in zip(reports, back):
-            assert parsed.relation == orig.relation
-            assert parsed.alpha == orig.alpha
-            assert parsed.k == orig.k
-            assert parsed.condition_holds == orig.condition_holds
-            assert parsed.lhs_pow == orig.lhs_pow
-            assert parsed.rhs == orig.rhs
-            assert parsed.kim_rhs == orig.kim_rhs
-            assert parsed.gap == orig.gap
-            assert parsed.tightness_delta == orig.tightness_delta
-            assert parsed.satisfied == orig.satisfied
+        lines = relation_reports_to_csv(reports).splitlines()
+        assert len(lines) == len(reports) + 1
+        for line, rep in zip(lines[1:], reports):
+            expect = relation_report_dict(rep)
+            del expect["satisfied"]
+            cells = line.split(",")
+            assert cells[0] == expect.pop("id")
+            for cell, value in zip(cells[1:], expect.values(), strict=True):
+                if cell == "":
+                    parsed = None
+                elif cell in ("true", "false"):
+                    parsed = cell == "true"
+                else:
+                    parsed = float(cell)
+                assert parsed == value and type(parsed) is type(value), (cell, value)
 
     def test_emit_files_byte_identical(self, tmp_path):
         cfg = CampaignConfig(
@@ -335,6 +338,19 @@ class TestCli:
         assert err.startswith("error:")
         # the last key holds the bad value, and the error names it
         assert list(config)[-1] in err
+
+    def test_campaign_roof_flags_override_config_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dims": [2, 2, 2], "samples": 3, "alphas": [1.0], "relations": ["mono-hamming"],
+            "roof": {"restarts": 2, "max_iters": 5},
+        }))
+        out_path = tmp_path / "report.json"
+        assert cli_main(["campaign", "--config", str(cfg_path), "--restarts", "1",
+                         "--roof-seed", "9", "--out", str(out_path)]) == 0
+        roof = json.loads(out_path.read_text())["config"]["roof"]
+        assert (roof["restarts"], roof["seed"], roof["max_iters"]) == (1, 9, 5)
+        assert roof["cardinality"] is None
 
     def test_campaign_config_not_object_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
