@@ -10,12 +10,16 @@ relations are evaluated as columns by
 :func:`negmono.relations.evaluate_block`.  Which method gives a measure
 value is decided in one place, :func:`negmono.measures.squared_roof_block`
 (two-qubit closed forms, then the pure-state formula, then the roof):
-this module hands it each marginal's stack, and each collective tail as a
-stack of one.  :func:`analyze` is the block of one state, so a campaign
-and a single analysis share every float: reports do not depend on the block
-size.  Batching keeps each value bit for bit: every power goes through
-Python's ``pow`` per element (``states.float_pow``, never ``np.power``)
-and every sum over a state's values adds left to right from zero.
+this module hands it each marginal's stack, and the collective tails of
+a block grouped by their reduced dims, one SCRENoA stack per group.  So
+the roof rows of a marginal, or of a tail group, run in one lockstep
+:func:`negmono.roof.optimize_roof_block` call, and no row's value
+depends on its batch.  :func:`analyze` is the block of one state, so a
+campaign and a single analysis share every float: reports do not depend
+on the block size.  Batching keeps each value bit for bit: every power
+goes through Python's ``pow`` per element (``states.float_pow``, never
+``np.power``) and every sum over a state's values adds left to right
+from zero.
 """
 
 from __future__ import annotations
@@ -182,6 +186,7 @@ def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
     tails = None
     if include_tails:
         tails = np.empty((rows, n - 2))
+        groups: dict[tuple[int, ...], list] = {}  # reduced dims -> [(b, i, reduced)]
         for b in range(rows):
             for i in range(n - 2):
                 tail_pos = screnoa_order[b, i + 1:]
@@ -189,12 +194,15 @@ def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
                     tails[b, i] = screnoa_vals[b, tail_pos[0]]
                     continue
                 keep = (0,) + tuple(sorted(int(p) + 1 for p in tail_pos))
-                reduced = partial_trace_block(rho[b:b + 1], dims, keep)
-                check_density_block(reduced)
-                (tail,) = squared_roof_block(reduced, tuple(dims[k] for k in keep),
-                                             Bipartition.split(len(keep), (0,)), roof_config,
-                                             (Direction.MAX,))
-                tails[b, i] = tail.values[0]
+                reduced = partial_trace_block(rho[b:b + 1], dims, keep)[0]
+                groups.setdefault(tuple(dims[k] for k in keep), []).append((b, i, reduced))
+        for tail_dims, group in groups.items():
+            reduced = np.stack([red for *_, red in group])
+            check_density_block(reduced)
+            cut_0 = Bipartition.split(len(tail_dims), (0,))
+            (tail,) = squared_roof_block(reduced, tail_dims, cut_0, roof_config, (Direction.MAX,))
+            for (b, i, _), value in zip(group, tail.values):
+                tails[b, i] = value
 
     return (
         MeasureBlock(np.take_along_axis(scren_vals, scren_order, axis=1), MeasureKind.SCREN, lhs),

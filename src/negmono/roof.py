@@ -11,9 +11,18 @@ per-pair solves (a Takagi factorization of the pair's determinant form).
 
 The generic search is bound by per-call overhead on tiny arrays, so it
 batches its candidates into at most two objective calls per row pair,
-with rotation blocks cached per step size; the objective is row-wise to
-the last bit, so the trajectory is the one-candidate-at-a-time one (see
-``_coordinate_search``).
+with rotation blocks cached per step size, and it runs in lockstep with
+the other searches of its block.  ``_coordinate_search`` and the restart
+loop ``_roof_search`` are generators: each yields the stack of rows it
+needs evaluated and is sent back their ``_Objective.contribs`` values
+(the exact pair search never yields).  :func:`optimize_roof_block`
+drives every search of a stack of density matrices that share dims and
+cut: each round it concatenates the pending requests of all searches,
+makes one ``contribs`` call and hands each search its slice; once one
+search is left it feeds that search directly.  ``contribs`` is row-wise
+to the last bit, so a row's value never depends on its batch: every
+search takes the trajectory it takes alone, and :func:`optimize_roof` is
+the block of one.
 """
 
 from __future__ import annotations
@@ -112,9 +121,9 @@ class RoofResult:
     restart_spread: float
 
 
-def _eig_base(rho: DensityMatrix) -> tuple[np.ndarray, int]:
+def _eig_base(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     """Columns sqrt(q_j)|phi_j> of the eigendecomposition, rank-truncated."""
-    w, u = np.linalg.eigh(rho.matrix)
+    w, u = np.linalg.eigh(matrix)
     order = np.argsort(w)[::-1]
     w = w[order]
     u = u[:, order]
@@ -122,6 +131,16 @@ def _eig_base(rho: DensityMatrix) -> tuple[np.ndarray, int]:
     if r == 0:
         raise ValueError("density matrix has numerically zero rank")
     return u[:, :r] * np.sqrt(w[:r]), r
+
+
+def _members(base: np.ndarray, dims: tuple[int, ...], V: np.ndarray):
+    """``(weights, states)`` of the decomposition that the isometry ``V``
+    selects from the eigenbase ``base``, zero-weight members dropped."""
+    rows = V @ base.T
+    weights = np.real((rows * rows.conj()).sum(axis=1))
+    kept = [k for k in range(rows.shape[0]) if weights[k] > 1e-14]
+    return (np.array([weights[k] for k in kept]),
+            [PureState(rows[k] / np.sqrt(weights[k]), dims) for k in kept])
 
 
 def decomposition_from_isometry(rho: DensityMatrix, V: np.ndarray):
@@ -132,7 +151,7 @@ def decomposition_from_isometry(rho: DensityMatrix, V: np.ndarray):
     reconstructing ``rho``.  Members with numerically zero weight are
     dropped from the state list.
     """
-    base, r = _eig_base(rho)
+    base, r = _eig_base(rho.matrix)
     V = np.asarray(V, dtype=complex)
     if V.ndim != 2 or V.shape[1] != r or V.shape[0] < r:
         raise ValueError(
@@ -141,16 +160,7 @@ def decomposition_from_isometry(rho: DensityMatrix, V: np.ndarray):
     gram_err = np.abs(V.conj().T @ V - np.eye(r)).max()
     if gram_err > ISOMETRY_ATOL:
         raise ValueError(f"V does not have orthonormal columns: deviation {gram_err:.3e}")
-    rows = V @ base.T
-    weights = np.real((rows * rows.conj()).sum(axis=1))
-    states = []
-    for k in range(rows.shape[0]):
-        if weights[k] > 1e-14:
-            states.append(PureState(rows[k] / np.sqrt(weights[k]), rho.dims))
-        else:
-            states.append(None)
-    kept = [(w, s) for w, s in zip(weights, states) if s is not None]
-    return np.array([w for w, _ in kept]), [s for _, s in kept]
+    return _members(base, rho.dims, V)
 
 
 class _Objective:
@@ -164,13 +174,19 @@ class _Objective:
     rows (or columns) of the reshaped member.  A 2x2-by-2x2 cut is flagged
     as ``det_mode``: there ``t^2 = ||v||^2 + 2 |det|`` with det an actual
     quadratic form of the member, which unlocks the exact per-pair solver.
+
+    ``rho`` is a :class:`DensityMatrix` or a ``(matrix, dims)`` pair of a
+    matrix that is already checked.  ``contribs`` depends on the dims and
+    the cut alone, so one objective's ``contribs`` serves every density
+    matrix with the same dims and cut.
     """
 
-    def __init__(self, rho: DensityMatrix, a_side, b_side):
-        dims = rho.dims
+    def __init__(self, rho, a_side, b_side):
+        matrix, dims = (rho.matrix, rho.dims) if isinstance(rho, DensityMatrix) else rho
+        self.dims = dims
         self.d_a = prod(dims[i] for i in a_side)
         self.d_b = prod(dims[i] for i in b_side)
-        index = np.arange(rho.dim).reshape(dims).transpose(tuple(a_side) + tuple(b_side))
+        index = np.arange(prod(dims)).reshape(dims).transpose(tuple(a_side) + tuple(b_side))
         self.perm = index.reshape(self.d_a, self.d_b)
         if self.d_b == 2 and self.d_a != 2:
             self.perm = self.perm.T  # orient the 2-dim side first for the Gram fast path
@@ -180,7 +196,7 @@ class _Objective:
         # state-space indices of the two rows of the reshaped member, for
         # the Gram fast path
         self.half_rows = tuple(np.ascontiguousarray(half) for half in self.perm[:2])
-        self.base, self.rank = _eig_base(rho)
+        self.base, self.rank = _eig_base(matrix)
 
     def rows_of(self, V: np.ndarray) -> np.ndarray:
         return V @ self.base.T
@@ -398,7 +414,7 @@ def _rotation_blocks(step: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return blocks[0], blocks[1:]
 
 
-def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple[float, np.ndarray]:
+def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig):
     """Derivative-free descent by pairwise row rotations of ``V``.
 
     Each sweep visits every row pair (i, j) and tries four rotations of
@@ -413,12 +429,15 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
     values of evaluating each candidate on its own, so the trajectory is
     the plain one-candidate-at-a-time search.  The step halves once a
     sweep gains less than ``1e-2 * step**2``.
+
+    A generator: it yields each row stack it needs evaluated, is sent
+    back the stack's ``obj.contribs`` values, and returns ``(value, V)``.
     """
     minimize = cfg.direction is Direction.MIN
     sign = 1.0 if minimize else -1.0
     m = V.shape[0]
     rows = obj.rows_of(V)  # cached image of V in state space, updated in lock step
-    values = obj.contribs(rows)
+    values = yield rows
     total = float(values.sum())
     if m < 2:
         return total - 1.0, V
@@ -435,7 +454,7 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
             for j in range(i + 1, m):
                 pair_d = rows[(i, j), :]
                 base = contribs[i] + contribs[j]
-                cc = obj.contribs(coeffs @ pair_d).tolist()
+                cc = (yield coeffs @ pair_d).tolist()
                 deltas = [cc[0] + cc[1] - base, cc[2] + cc[3] - base,
                           cc[4] + cc[5] - base, cc[6] + cc[7] - base]
                 signed = [sign * d for d in deltas]
@@ -449,7 +468,7 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
                 # improving, so narrow valleys are crossed in one move
                 # instead of one step per sweep
                 ladder = ladders[t]
-                cl = obj.contribs(ladder @ pair_d).tolist()
+                cl = (yield ladder @ pair_d).tolist()
                 for k in range(0, len(cl), 2):
                     d = cl[k] + cl[k + 1] - base
                     if sign * d < sign * delta - _IMPROVE_EPS:
@@ -466,7 +485,7 @@ def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
             # stops the residual drift from accumulating
             V = _reorthonormalize(V)
             rows = obj.rows_of(V)
-            values = obj.contribs(rows)
+            values = yield rows
             total = float(values.sum())
             contribs = values.tolist()
         if gain < 1e-2 * step * step:
@@ -493,25 +512,11 @@ def _perturb(V: np.ndarray, rng: np.random.Generator, angle: float) -> np.ndarra
     return _reorthonormalize(V)
 
 
-def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> RoofResult:
-    """Optimize the mean pure-state negativity over decompositions of ``rho``.
-
-    ``cut`` is a :class:`negmono.measures.Bipartition` of ``rho.dims``.
-    The restart budget is split between independent starting points and
-    perturbation hops around the incumbent: restart 0 starts from the
-    eigendecomposition itself (so the returned optimum can never be worse
-    than the raw eigenmixture), the first half continues from seeded
-    Haar-random isometries, and the remainder re-searches from small
-    random kicks of the best point found so far, which escapes the shallow
-    stationary points this landscape is prone to.  Non-convergence is
-    never fatal: disagreement between searches surfaces as a large
-    ``restart_spread``.  One call runs one restart budget and returns its
-    best value as found; a minimization relaxed by ``squared_tolerance``
-    that stops just above ``min_floor`` is not rerun at full precision.
-    """
-    cfg = config or RoofConfig()
-    cut.validate(len(rho.dims))
-    obj = _Objective(rho, cut.a_side, cut.b_side)
+def _roof_search(obj: _Objective, cfg: RoofConfig):
+    """The restart loop of :func:`optimize_roof` on one density matrix, as
+    a generator: it passes on the requests of ``_coordinate_search`` (the
+    exact pair search of det-mode cuts never yields) and returns the
+    :class:`RoofResult`."""
     r = obj.rank
     if cfg.cardinality is None:
         m = max(min(r * r, 16), r)
@@ -520,7 +525,6 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
         if m < r:
             raise ValueError(f"cardinality {m} below rank {r}")
     minimize = cfg.direction is Direction.MIN
-    search = _pair_exact_search if obj.det_mode else _coordinate_search
     n_independent = max(1, (cfg.restarts + 1) // 2)
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -538,7 +542,10 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
             v0 = _haar_isometry(m, r, rng)
         else:
             v0 = _perturb(best_v, rng, _HOP_ANGLES[t % len(_HOP_ANGLES)])
-        val, v_opt = search(obj, v0, cfg)
+        if obj.det_mode:
+            val, v_opt = _pair_exact_search(obj, v0, cfg)
+        else:
+            val, v_opt = yield from _coordinate_search(obj, v0, cfg)
         per_restart.append(val)
         if best_val is None or (val < best_val if minimize else val > best_val):
             best_val = val
@@ -560,6 +567,80 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
             if abs(srt[0] - srt[1]) < tol_consensus:
                 break
     value = max(best_val, 0.0)
-    weights, states = decomposition_from_isometry(rho, best_v)
+    weights, states = _members(obj.base, obj.dims, best_v)
     spread = float(max(per_restart) - min(per_restart))
     return RoofResult(value=value, weights=weights, states=states, restart_spread=spread)
+
+
+def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
+    """:func:`optimize_roof` of every checked density matrix in a stack
+    ``(rows, d, d)`` over one ``dims`` and one ``cut``, row ``b`` under
+    ``configs[b]``; one :class:`RoofResult` per row, in order.
+
+    The searches run in lockstep: each round, one ``contribs`` call
+    evaluates the pending rows of every search.  Each result equals, bit
+    for bit, what :func:`optimize_roof` gives on its row alone.  Every
+    row must have the shape of ``dims``, since all share the objective's
+    index map.
+    """
+    dims = tuple(dims)
+    cut.validate(len(dims))
+    d = prod(dims)
+    if len(configs) != len(mats):
+        raise ValueError(f"{len(configs)} configs for {len(mats)} rows")
+    for b, mat in enumerate(mats):
+        if np.shape(mat) != (d, d):
+            raise ValueError(f"row {b} has shape {np.shape(mat)}, not that of dims {dims}")
+    objs = [_Objective((mat, dims), cut.a_side, cut.b_side) for mat in mats]
+    if not objs:
+        return []
+    contribs = objs[0].contribs  # the same function for every row of one dims and cut
+    searches = [_roof_search(obj, cfg or RoofConfig()) for obj, cfg in zip(objs, configs)]
+    results: list = [None] * len(searches)
+    pending = {}
+    for b, search in enumerate(searches):
+        try:
+            pending[b] = next(search)
+        except StopIteration as stop:
+            results[b] = stop.value
+    while len(pending) > 1:
+        order = list(pending)
+        requests = [pending[b] for b in order]
+        values = contribs(np.concatenate(requests))
+        start = 0
+        for b, request in zip(order, requests):
+            end = start + len(request)
+            try:
+                pending[b] = searches[b].send(values[start:end])
+            except StopIteration as stop:
+                del pending[b]
+                results[b] = stop.value
+            start = end
+    # the last search runs alone, without the bookkeeping of a round
+    for b, request in pending.items():
+        try:
+            while True:
+                request = searches[b].send(contribs(request))
+        except StopIteration as stop:
+            results[b] = stop.value
+    return results
+
+
+def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> RoofResult:
+    """Optimize the mean pure-state negativity over decompositions of ``rho``.
+
+    ``cut`` is a :class:`negmono.measures.Bipartition` of ``rho.dims``.
+    The restart budget is split between independent starting points and
+    perturbation hops around the incumbent: restart 0 starts from the
+    eigendecomposition itself (so the returned optimum can never be worse
+    than the raw eigenmixture), the first half continues from seeded
+    Haar-random isometries, and the remainder re-searches from small
+    random kicks of the best point found so far, which escapes the shallow
+    stationary points this landscape is prone to.  Non-convergence is
+    never fatal: disagreement between searches surfaces as a large
+    ``restart_spread``.  One call runs one restart budget and returns its
+    best value as found; a minimization relaxed by ``squared_tolerance``
+    that stops just above ``min_floor`` is not rerun at full precision.
+    This is the block of one of :func:`optimize_roof_block`.
+    """
+    return optimize_roof_block(rho.matrix[None], rho.dims, cut, [config])[0]

@@ -7,6 +7,7 @@ functions give, and that a campaign report equals the one a per-sample
 loop folds, on sample counts that straddle block edges.
 """
 
+import numpy as np
 import pytest
 
 from negmono import (
@@ -164,3 +165,25 @@ def test_campaign_report_equals_per_sample_fold(config):
         # sample is checked as well
         indices = [v.sample_index for v in report.violations]
         assert len(set(indices)) < len(indices)
+
+
+@pytest.mark.parametrize("sort_values", [False, True], ids=["unsorted", "sorted"])
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 2, 2, 2)])
+def test_batched_tails_equal_per_row_tails(dims, sort_values):
+    # a block's collective tails run as one roof stack per reduced dims
+    # (two groups at five qubits); each must equal screnoa on its own
+    n = len(dims)
+    config = CampaignConfig(dims=dims, samples=1, seed=37)
+    states = [sample_state(config, i) for i in range(8)]
+    _, unsorted = _analyze_block(states, CAPPED_ROOF, False, False)
+    _, screnoa_block = _analyze_block(states, CAPPED_ROOF, sort_values, True)
+    for b, psi in enumerate(states):
+        order = np.arange(n - 1)
+        if sort_values:
+            order = np.argsort(-unsorted.values[b], kind="stable")
+        rho = density(psi)
+        for i in range(n - 2):
+            keep = (0,) + tuple(sorted(int(p) + 1 for p in order[i + 1:]))
+            cut = CUT2 if len(keep) == 2 else Bipartition.split(len(keep), (0,))
+            expected = screnoa(partial_trace(rho, keep), cut, CAPPED_ROOF).value
+            assert screnoa_block.tail_values[b, i] == expected

@@ -5,6 +5,7 @@ import pytest
 
 from negmono import (
     Bipartition,
+    DensityMatrix,
     Direction,
     RoofConfig,
     decomposition_from_isometry,
@@ -13,6 +14,7 @@ from negmono import (
     haar_random_pure,
     negativity,
     optimize_roof,
+    optimize_roof_block,
     partial_trace,
     two_qubit_tangle_and_toa,
 )
@@ -290,3 +292,70 @@ class TestCoordinateSearch:
             )
             got += [res.value, res.restart_spread]
         assert got == pytest.approx(self.PINNED[dims, i], rel=1e-12, abs=0.0)
+
+
+class TestRoofBlock:
+    """optimize_roof_block runs its searches in lockstep, one objective
+    call per round for all of them; each result must equal optimize_roof
+    on its row alone, bit for bit."""
+
+    @staticmethod
+    def check(mats, dims, configs):
+        results = optimize_roof_block(mats, dims, CUT2, configs)
+        assert len(results) == len(mats)
+        for mat, cfg, got in zip(mats, configs, results):
+            alone = optimize_roof(DensityMatrix(mat, dims), CUT2, cfg)
+            assert got.value == alone.value
+            assert got.restart_spread == alone.restart_spread
+            assert got.weights.shape == alone.weights.shape
+            assert (got.weights == alone.weights).all()
+            assert len(got.states) == len(alone.states)
+            for a, b in zip(got.states, alone.states):
+                assert (a.amplitudes == b.amplitudes).all()
+        return results
+
+    def test_mixed_2x3_stack(self):
+        dims = (2, 3)
+        rows = [haar_random_mixed(dims, env, np.random.SeedSequence((81, env, i)))
+                for env, i in ((2, 0), (3, 1), (2, 2), (3, 3), (3, 4))]
+        # a product state: its eigendecomposition already has mean
+        # negativity 0, so its MIN search stops at min_floor in restart 0
+        product = np.kron(haar_random_mixed((2,), 2, 82).matrix,
+                          haar_random_mixed((3,), 3, 83).matrix)
+        mats = np.stack([rho.matrix for rho in rows] + [product])
+        configs = [
+            RoofConfig(restarts=4, max_iters=40, seed=1),
+            RoofConfig(restarts=3, max_iters=25, seed=2, direction=Direction.MAX),
+            RoofConfig(restarts=5, max_iters=15, seed=3, cardinality=6),
+            RoofConfig(restarts=2, max_iters=60, seed=4, cardinality=9, direction=Direction.MAX),
+            RoofConfig(restarts=6, max_iters=10, seed=5, value_floor=0.05),
+            RoofConfig(restarts=4, max_iters=40, seed=6),
+        ]
+        results = self.check(mats, dims, configs)
+        assert results[-1].value <= configs[-1].min_floor
+        assert results[-1].restart_spread == 0.0  # restart 0 alone ran
+
+    def test_3x3_stack(self):
+        dims = (3, 3)
+        mats = np.stack([haar_random_mixed(dims, 3, np.random.SeedSequence((84, i))).matrix
+                         for i in range(3)])
+        configs = [RoofConfig(restarts=3, max_iters=8, seed=i, direction=d)
+                   for i, d in enumerate((Direction.MIN, Direction.MAX, Direction.MIN))]
+        self.check(mats, dims, configs)
+
+    def test_2x2_stack(self):
+        # det-mode cuts run the exact pair search, which never yields
+        dims = (2, 2)
+        mats = np.stack([haar_random_mixed(dims, 2 + i, np.random.SeedSequence((85, i))).matrix
+                         for i in range(3)])
+        configs = [RoofConfig(cardinality=4, restarts=4, seed=i, direction=d)
+                   for i, d in enumerate((Direction.MIN, Direction.MAX, Direction.MIN))]
+        self.check(mats, dims, configs)
+
+    def test_empty_stack(self):
+        assert optimize_roof_block(np.empty((0, 6, 6), dtype=complex), (2, 3), CUT2, []) == []
+
+    def test_rejects_rows_of_other_dims(self):
+        mats = [haar_random_mixed((2, 3), 3, 86).matrix, haar_random_mixed((3, 3), 3, 87).matrix]
+        with pytest.raises(ValueError, match="dims"):
+            optimize_roof_block(mats, (2, 3), CUT2, [None, None])
