@@ -12,14 +12,14 @@ value is decided in one place, :func:`negmono.measures.squared_roof_block`
 (two-qubit closed forms, then the pure-state formula, then the roof):
 this module hands it each marginal's stack, and the collective tails of
 a block grouped by their reduced dims, one SCRENoA stack per group.  So
-the roof rows of a marginal, or of a tail group, run in one lockstep
-:func:`negmono.roof.optimize_roof_block` call, and no row's value
-depends on its batch.  :func:`analyze` is the block of one state, so a
-campaign and a single analysis share every float: reports do not depend
-on the block size.  Batching keeps each value bit for bit: every power
-goes through Python's ``pow`` per element (``states.float_pow``, never
-``np.power``) and every sum over a state's values adds left to right
-from zero.
+the roof rows of a marginal, or of a tail group, run in one
+:func:`negmono.roof.optimize_roof_block` call, as one array program,
+and no row's value depends on its batch.  :func:`analyze` is the block
+of one state, so a campaign and a single analysis share every float:
+reports do not depend on the block size.  Batching keeps each value bit
+for bit: every power goes through Python's ``pow`` per element
+(``states.float_pow``, never ``np.power``) and every sum over a state's
+values adds left to right from zero.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ gives exact closed forms that double as oracles for the roof optimizer.
 SCRENoA are computed, over a stack of density matrices: the two-qubit
 closed forms first, then the pure-state formula, then the roof optimizer.
 Every (row, direction) of a stack that needs the roof runs in one
-lockstep :func:`~negmono.roof.optimize_roof_block` call, MIN and MAX
-mixed.  :func:`scren` and :func:`screnoa` are its one-matrix case.
+:func:`~negmono.roof.optimize_roof_block` call, MIN and MAX mixed, whose
+searches advance together as one array program.  :func:`scren` and
+:func:`screnoa` are its one-matrix case.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
     from one batched spin-flip spectrum (exact for pure and mixed states
     alike); otherwise a pure row takes the pure-state formula and every
     other row the roof optimizer, once per direction, all of them in one
-    lockstep :func:`~negmono.roof.optimize_roof_block` call.  The
+    :func:`~negmono.roof.optimize_roof_block` call.  The
     optimizer value is an upper bound on the true roof for MIN and a lower
     bound for MAX; restart disagreement is reported in ``certified_gaps``,
     never silently.

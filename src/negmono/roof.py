@@ -10,19 +10,26 @@ rotations with step control, while 2x2-by-2x2 cuts get closed-form
 per-pair solves (a Takagi factorization of the pair's determinant form).
 
 The generic search is bound by per-call overhead on tiny arrays, so it
-batches its candidates into at most two objective calls per row pair,
-with rotation blocks cached per step size, and it runs in lockstep with
-the other searches of its block.  ``_coordinate_search`` and the restart
-loop ``_roof_search`` are generators: each yields the stack of rows it
-needs evaluated and is sent back their ``_Objective.contribs`` values
-(the exact pair search never yields).  :func:`optimize_roof_block`
-drives every search of a stack of density matrices that share dims and
-cut: each round it concatenates the pending requests of all searches,
-makes one ``contribs`` call and hands each search its slice; once one
-search is left it feeds that search directly.  ``contribs`` is row-wise
-to the last bit, so a row's value never depends on its batch: every
-search takes the trajectory it takes alone, and :func:`optimize_roof` is
-the block of one.
+runs as an array program (``_Program``): every running search of a block
+whose decompositions share m and r is one slot of stacked arrays, rows
+``(S, m, n)``, isometries ``(S, m, r)`` and contributions ``(S, m)``.
+Each step advances every slot by one row pair with one batched trial
+matmul and one ``_Objective.contribs`` call, then one ladder call for
+the slots whose best trial improved; at sweep boundaries the slots that
+moved share one stacked QR and refresh.  The accept and ladder decisions
+stay per slot, in Python scalars.  ``contribs`` is row-wise and the
+batched matmul and QR are slice-wise to the last bit, so a slot's values
+never depend on its batch: every search takes the trajectory it takes
+alone.
+
+Each density matrix runs its restart loop as a ``_Restarts`` object,
+which folds results in restart order.  The restarts that a sequential
+loop runs unless the floor stops it first (t <= 2 and independent of
+the incumbent) start at once as concurrent slots; a result that the
+sequential loop would not have reached is discarded.  2x2-by-2x2 cuts
+run the exact pair search one restart at a time.
+:func:`optimize_roof_block` drives a stack of density matrices that share
+dims and cut, and :func:`optimize_roof` is the block of one.
 """
 
 from __future__ import annotations
@@ -83,6 +90,8 @@ class RoofConfig:
                     value, numbers.Integral if name in ints else numbers.Real):
                 kind = "an integer" if name in ints else "a number"
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.step_tolerance <= 0:
@@ -113,12 +122,22 @@ class RoofConfig:
 
 @dataclass
 class RoofResult:
-    """Best decomposition found: ``value`` is the mean negativity before squaring."""
+    """Best decomposition found: ``value`` is the mean negativity before squaring.
+
+    ``restarts_run`` counts the restarts folded into the result and
+    ``sweeps`` their sweeps.  ``stop`` says why the restart loop ended:
+    ``"floor"`` (a minimization reached ``min_floor``), ``"consensus"``
+    (the two best restarts agree) or ``"budget"`` (every restart ran, or
+    a single-member decomposition left nothing to search).
+    """
 
     value: float
     weights: np.ndarray
     states: list[PureState]
     restart_spread: float
+    restarts_run: int
+    sweeps: int
+    stop: str
 
 
 def _eig_base(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -279,7 +298,8 @@ def _solve_pair(di: complex, dj: complex, b: complex,
     return val, theta, phi
 
 
-def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple[float, np.ndarray]:
+def _pair_exact_search(obj: _Objective, V: np.ndarray,
+                       cfg: RoofConfig) -> tuple[float, np.ndarray, int]:
     """Block-coordinate descent with exact per-pair solves (det_mode cuts).
 
     Each sweep moves every row pair (i, j) of V to the exact optimum of
@@ -293,7 +313,8 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
     a determinant sits at 0; the restarts and perturbation hops of
     :func:`optimize_roof` leave those, and the oracle tests check the
     result against the two-qubit closed forms.  The search stops once a
-    sweep gains less than ``max(1e-12, value_slack / 16)``.
+    sweep gains less than ``max(1e-12, value_slack / 16)``.  Returns
+    ``(value, V, sweeps)``.
     """
     minimize = cfg.direction is Direction.MIN
     sign = 1.0 if minimize else -1.0
@@ -314,7 +335,7 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
         return fro + 2.0 * sum(abs(d) for d in dets) - 1.0
 
     if m < 2:
-        return value(), V
+        return value(), V, 0
 
     def refresh():
         nonlocal V, rows, dets, fro
@@ -325,9 +346,11 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
 
     version = [0] * m
     seen: dict[tuple[int, int], tuple[int, int]] = {}
+    sweeps = 0
     for _ in range(cfg.max_iters):
         if minimize and value() <= cfg.min_floor:
             break
+        sweeps += 1
         # a caller-declared squared tolerance caps the useful per-sweep
         # resolution; grinding below it buys nothing
         gain_floor = max(1e-12, cfg.value_slack(value()) / 16.0)
@@ -359,7 +382,7 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig) -> tuple
             refresh()
         if gain < gain_floor:
             break
-    return value(), V
+    return value(), V, sweeps
 
 
 def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -370,11 +393,14 @@ def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _reorthonormalize(V: np.ndarray) -> np.ndarray:
+    """The QR isometry of ``V`` (m, r), or of each matrix of a stack
+    ``(S, m, r)`` from one stacked QR."""
     q, r = np.linalg.qr(V)
     # realign column phases with the input so near-isometric V maps to
     # itself up to roundoff (raw LAPACK Q may flip column phases)
-    d = np.where(np.abs(np.diagonal(r)) > 0, np.diagonal(r), 1.0)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    d = np.where(np.abs(d) > 0, d, 1.0)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _rotation_coeffs(theta: float) -> np.ndarray:
@@ -414,87 +440,6 @@ def _rotation_blocks(step: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return blocks[0], blocks[1:]
 
 
-def _coordinate_search(obj: _Objective, V: np.ndarray, cfg: RoofConfig):
-    """Derivative-free descent by pairwise row rotations of ``V``.
-
-    Each sweep visits every row pair (i, j) and tries four rotations of
-    angle ``step`` (two real, two with relative phase i) in one objective
-    call; the best one, if it improves, is expanded along its expansion
-    ladder (doubling angles below 1.6), evaluated in one more call, and the
-    last candidate of the improving prefix is applied.  The rotation blocks
-    of each step size are built once per process, and the applied
-    candidate's contributions are taken from the call that produced them.
-    Since ``_Objective.contribs`` is row-wise (a row's value does not
-    depend on the other rows of its call), this gives bit for bit the
-    values of evaluating each candidate on its own, so the trajectory is
-    the plain one-candidate-at-a-time search.  The step halves once a
-    sweep gains less than ``1e-2 * step**2``.
-
-    A generator: it yields each row stack it needs evaluated, is sent
-    back the stack's ``obj.contribs`` values, and returns ``(value, V)``.
-    """
-    minimize = cfg.direction is Direction.MIN
-    sign = 1.0 if minimize else -1.0
-    m = V.shape[0]
-    rows = obj.rows_of(V)  # cached image of V in state space, updated in lock step
-    values = yield rows
-    total = float(values.sum())
-    if m < 2:
-        return total - 1.0, V
-    contribs = values.tolist()
-    step = 0.5
-    sweeps = 0
-    while step > cfg.step_tolerance and sweeps < cfg.max_iters:
-        if minimize and total - 1.0 <= cfg.min_floor:
-            break
-        sweeps += 1
-        coeffs, ladders = _rotation_blocks(step)
-        gain = 0.0
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                pair_d = rows[(i, j), :]
-                base = contribs[i] + contribs[j]
-                cc = (yield coeffs @ pair_d).tolist()
-                deltas = [cc[0] + cc[1] - base, cc[2] + cc[3] - base,
-                          cc[4] + cc[5] - base, cc[6] + cc[7] - base]
-                signed = [sign * d for d in deltas]
-                t = signed.index(min(signed))  # the first minimum, as np.argmin
-                delta = deltas[t]
-                if signed[t] >= -_IMPROVE_EPS:
-                    continue
-                block = coeffs[2 * t : 2 * t + 2]
-                new_pair = cc[2 * t : 2 * t + 2]
-                # expand along the winning direction while it keeps
-                # improving, so narrow valleys are crossed in one move
-                # instead of one step per sweep
-                ladder = ladders[t]
-                cl = (yield ladder @ pair_d).tolist()
-                for k in range(0, len(cl), 2):
-                    d = cl[k] + cl[k + 1] - base
-                    if sign * d < sign * delta - _IMPROVE_EPS:
-                        delta, block, new_pair = d, ladder[k : k + 2], cl[k : k + 2]
-                    else:
-                        break
-                V[(i, j), :] = block @ V[(i, j), :]
-                rows[(i, j), :] = block @ pair_d
-                contribs[i], contribs[j] = new_pair
-                total += delta
-                gain -= sign * delta
-        if gain > 0.0:
-            # rotations keep V isometric to machine precision; a per-sweep QR
-            # stops the residual drift from accumulating
-            V = _reorthonormalize(V)
-            rows = obj.rows_of(V)
-            values = yield rows
-            total = float(values.sum())
-            contribs = values.tolist()
-        if gain < 1e-2 * step * step:
-            # progress at this scale has dropped to the quadratic tail:
-            # refine rather than re-sweeping
-            step *= 0.5
-    return total - 1.0, V
-
-
 _HOP_ANGLES = (0.08, 0.2, 0.45)
 
 
@@ -512,46 +457,78 @@ def _perturb(V: np.ndarray, rng: np.random.Generator, angle: float) -> np.ndarra
     return _reorthonormalize(V)
 
 
-def _roof_search(obj: _Objective, cfg: RoofConfig):
-    """The restart loop of :func:`optimize_roof` on one density matrix, as
-    a generator: it passes on the requests of ``_coordinate_search`` (the
-    exact pair search of det-mode cuts never yields) and returns the
-    :class:`RoofResult`."""
-    r = obj.rank
-    if cfg.cardinality is None:
-        m = max(min(r * r, 16), r)
-    else:
-        m = int(cfg.cardinality)
-        if m < r:
-            raise ValueError(f"cardinality {m} below rank {r}")
-    minimize = cfg.direction is Direction.MIN
-    n_independent = max(1, (cfg.restarts + 1) // 2)
+class _Restarts:
+    """The restart loop of :func:`optimize_roof` on one density matrix.
 
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_val = None
-    best_v = None
-    per_restart = []
-    for t in range(cfg.restarts):
-        rng = np.random.default_rng(children[t])
+    Restart 0 starts from the eigendecomposition, restarts below
+    ``n_independent`` from seeded Haar isometries, and later ones from a
+    kick of the incumbent.  Searches hand in their results through
+    :meth:`finish` in any order; the results fold in restart order, as a
+    sequential loop folds them, and a fold may end the loop (``stop``)
+    or start the next restart.  Restart t runs only once restarts 0..t-1
+    have folded, except for :meth:`launch`'s speculative ones.
+    """
+
+    def __init__(self, obj: _Objective, cfg: RoofConfig):
+        r = obj.rank
+        if cfg.cardinality is None:
+            self.m = max(min(r * r, 16), r)
+        else:
+            self.m = int(cfg.cardinality)
+            if self.m < r:
+                raise ValueError(f"cardinality {self.m} below rank {r}")
+        self.obj, self.cfg = obj, cfg
+        self.minimize = cfg.direction is Direction.MIN
+        self.n_independent = max(1, (cfg.restarts + 1) // 2)
+        self.children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+        self.per_restart: list[float] = []
+        self.best_val = self.best_v = None
+        self.sweeps = 0
+        self.stop: str | None = None
+        self.started = 0
+        self.held: dict[int, tuple] = {}
+
+    def launch(self, speculate: bool) -> list[int]:
+        """The restarts to start at once: restart 0 and, with ``speculate``,
+        those that the loop runs unless the floor stops it first (t <= 2,
+        since consensus is checked from restart 2 on, and t below
+        ``n_independent``, so they need no incumbent)."""
+        self.started = 1 if self.m < 2 or not speculate else min(3, self.n_independent)
+        return list(range(self.started))
+
+    def initial(self, t: int) -> np.ndarray:
+        m, r = self.m, self.obj.rank
         if t == 0:
             v0 = np.zeros((m, r), dtype=complex)
             v0[:r, :r] = np.eye(r)
-        elif m < 2:
-            break  # a single-member decomposition leaves nothing to search
-        elif t < n_independent:
-            v0 = _haar_isometry(m, r, rng)
-        else:
-            v0 = _perturb(best_v, rng, _HOP_ANGLES[t % len(_HOP_ANGLES)])
-        if obj.det_mode:
-            val, v_opt = _pair_exact_search(obj, v0, cfg)
-        else:
-            val, v_opt = yield from _coordinate_search(obj, v0, cfg)
-        per_restart.append(val)
-        if best_val is None or (val < best_val if minimize else val > best_val):
-            best_val = val
-            best_v = v_opt
-        if minimize and best_val <= cfg.min_floor:
-            break
+            return v0
+        rng = np.random.default_rng(self.children[t])
+        if t < self.n_independent:
+            return _haar_isometry(m, r, rng)
+        return _perturb(self.best_v, rng, _HOP_ANGLES[t % len(_HOP_ANGLES)])
+
+    def finish(self, t: int, value: float, V: np.ndarray, sweeps: int) -> list[int]:
+        """Hand in restart ``t``'s search; returns the restarts to start now.
+        Once the loop has stopped, a speculative restart it never reached
+        is held and never folded."""
+        self.held[t] = (value, V, sweeps)
+        while self.stop is None and len(self.per_restart) in self.held:
+            self._fold(*self.held.pop(len(self.per_restart)))
+        if self.stop is not None or self.started > len(self.per_restart):
+            return []
+        self.started += 1
+        return [self.started - 1]
+
+    def _fold(self, value: float, V: np.ndarray, sweeps: int) -> None:
+        cfg = self.cfg
+        t = len(self.per_restart)
+        self.per_restart.append(value)
+        self.sweeps += sweeps
+        if self.best_val is None or (value < self.best_val if self.minimize else value > self.best_val):
+            self.best_val, self.best_v = value, V
+        if self.minimize and self.best_val <= cfg.min_floor:
+            self.stop = "floor"
+            return
         # two searches landing on the same value to within the consensus
         # tolerance marks the shared attractor; stray stationary points
         # form a near-continuum and do not coincide, so consensus is a
@@ -560,16 +537,241 @@ def _roof_search(obj: _Objective, cfg: RoofConfig):
         # incumbents may still be sitting above a vanishing optimum, where
         # agreement between two stuck searches is cheap.
         if t >= 2:
-            srt = sorted(per_restart, reverse=not minimize)
+            srt = sorted(self.per_restart, reverse=not self.minimize)
             tol_consensus = 1e-9
-            if not minimize or best_val >= 0.05:
-                tol_consensus = max(1e-9, cfg.value_slack(best_val) / 4.0)
+            if not self.minimize or self.best_val >= 0.05:
+                tol_consensus = max(1e-9, cfg.value_slack(self.best_val) / 4.0)
             if abs(srt[0] - srt[1]) < tol_consensus:
+                self.stop = "consensus"
+                return
+        if t + 1 == cfg.restarts or self.m < 2:
+            # a single-member decomposition leaves nothing to search
+            self.stop = "budget"
+
+    def result(self) -> RoofResult:
+        weights, states = _members(self.obj.base, self.obj.dims, self.best_v)
+        return RoofResult(value=max(self.best_val, 0.0), weights=weights, states=states,
+                          restart_spread=float(max(self.per_restart) - min(self.per_restart)),
+                          restarts_run=len(self.per_restart), sweeps=self.sweeps, stop=self.stop)
+
+
+class _Slot:
+    """The scalar state of one running coordinate search in a ``_Program``."""
+
+    __slots__ = ("row", "t", "sign", "step", "coeffs", "ladders", "sweeps", "gain",
+                 "total", "contribs")
+
+    def __init__(self, row: _Restarts, t: int):
+        self.row, self.t = row, t
+        self.sign = 1.0 if row.minimize else -1.0
+        self.step = 0.5
+        self.coeffs, self.ladders = _rotation_blocks(self.step)
+        self.sweeps = 0
+        self.gain = 0.0
+
+    def begin_sweep(self) -> bool:
+        """Start the next sweep, or return False once the search is over."""
+        cfg = self.row.cfg
+        if not (self.step > cfg.step_tolerance and self.sweeps < cfg.max_iters):
+            return False
+        if self.row.minimize and self.total - 1.0 <= cfg.min_floor:
+            return False
+        self.sweeps += 1
+        self.gain = 0.0
+        return True
+
+    def end_sweep(self) -> None:
+        if self.gain < 1e-2 * self.step * self.step:
+            # progress at this scale has dropped to the quadratic tail:
+            # refine rather than re-sweeping
+            self.step *= 0.5
+            self.coeffs, self.ladders = _rotation_blocks(self.step)
+
+
+class _Program:
+    """Derivative-free descent by pairwise row rotations of V, for every
+    running search of a block that shares m and r, as one array program.
+
+    Each sweep of a search visits every row pair (i, j) and tries four
+    rotations of angle ``step`` (two real, two with relative phase i);
+    the best one, if it improves, is expanded along its ladder (doubling
+    angles below 1.6), and the last candidate of the improving prefix is
+    applied, with its contributions taken from the call that produced
+    them.  After a sweep that gained, a QR stops isometry drift from
+    accumulating and the contributions are recomputed; the step halves
+    once a sweep gains less than ``1e-2 * step**2``.  The search ends when
+    the step falls to ``step_tolerance``, after ``max_iters`` sweeps, or
+    when a minimization reaches ``min_floor``.
+
+    Slot s holds ``V[s]`` (m, r), its image ``rows[s] = V[s] @ base.T``
+    (m, n) and, in its ``_Slot``, the contributions and step control.  A
+    step moves every slot by one pair, each at its own position in its
+    sweep; slots join when their restart starts and leave when their
+    search ends or their row stops.
+    """
+
+    def __init__(self, contribs, m: int, r: int, n: int):
+        self.contribs = contribs
+        self.m, self.r, self.n = m, r, n
+        self.pairs = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
+        self.pair_index = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        self.slots: list[_Slot] = []
+        self.pos: list[int] = []  # each slot's index into self.pairs
+        self._arrays(np.empty((0, m, r), complex), np.empty((0, m, n), complex))
+
+    def _arrays(self, V: np.ndarray, rows: np.ndarray) -> None:
+        S = len(self.slots)
+        self.V, self.rows = V, rows
+        # flat views: row i of slot s is row s * m + i
+        self.V_flat, self.rows_flat = V.reshape(S * self.m, self.r), rows.reshape(S * self.m, self.n)
+        # flat row indices (pair, slot, 2) of every slot's rows at every pair;
+        # slots that start together stay at one position, as every slot
+        # moves one pair per step and every sweep has the same pairs
+        self.at = np.arange(S, dtype=np.intp)[:, None] * self.m + self.pair_index[:, None, :]
+        self.slot_index = np.arange(S, dtype=np.intp)
+        self.in_phase = len(set(self.pos)) <= 1
+        self.bases = np.stack([slot.row.obj.base for slot in self.slots]) if S else None
+        self.coeff_stack = np.stack([slot.coeffs for slot in self.slots]) if S else None
+
+    def run(self, starts: list[tuple[_Restarts, int]]) -> None:
+        self._settle([], starts)
+        while self.slots:
+            self._step()
+
+    def _step(self) -> None:
+        slots, pos, pairs, n = self.slots, self.pos, self.pairs, self.n
+        at = self.at[pos[0]] if self.in_phase else self.at[pos, self.slot_index]
+        pair_d = self.rows_flat[at]
+        trials = self.contribs((self.coeff_stack @ pair_d).reshape(-1, n)).reshape(-1, 8).tolist()
+        won = []
+        for s, (slot, p, cc) in enumerate(zip(slots, pos, trials)):
+            i, j = pairs[p]
+            base = slot.contribs[i] + slot.contribs[j]
+            sign = slot.sign
+            deltas = [cc[0] + cc[1] - base, cc[2] + cc[3] - base,
+                      cc[4] + cc[5] - base, cc[6] + cc[7] - base]
+            signed = [sign * d for d in deltas]
+            t = signed.index(min(signed))  # the first minimum, as np.argmin
+            if signed[t] < -_IMPROVE_EPS:
+                won.append((s, t, deltas[t], base, cc))
+        if won:
+            self._move(won, at, pair_d)
+        P = len(pairs)
+        self.pos = pos = [p + 1 for p in pos]
+        ends = [s for s in range(len(slots)) if pos[s] == P]
+        if ends:
+            self._end_sweeps(ends)
+
+    def _move(self, won: list, at: np.ndarray, pair_d: np.ndarray) -> None:
+        """Expand every improving slot's best trial along its ladder, in one
+        ``contribs`` call over the slots' own rungs, and apply the moves.
+
+        A row of a matmul does not depend on the other rows of its left
+        factor, so ladders of different heights (slots at different steps)
+        are zero-padded to one height, and the padding rows are dropped
+        before ``contribs``.
+        """
+        slots, n = self.slots, self.n
+        idx = [s for s, *_ in won]
+        if len(idx) < len(slots):
+            pair_d, at = pair_d[idx], at[idx]
+        ladders = [slots[s].ladders[t] for s, t, *_ in won]
+        rungs = [len(ladder) for ladder in ladders]
+        height = max(rungs)
+        coeffs = np.zeros((len(idx), height, 2), complex)
+        for k, ladder in enumerate(ladders):
+            coeffs[k, : rungs[k]] = ladder
+        ladder_rows = coeffs @ pair_d
+        own = (ladder_rows.reshape(-1, n) if min(rungs) == height
+               else ladder_rows[np.arange(height) < np.array(rungs)[:, None]])
+        values = self.contribs(own).tolist()
+        blocks = []
+        offset = 0
+        for k, (s, t, delta, base, cc) in enumerate(won):
+            slot = slots[s]
+            sign = slot.sign
+            block, new_pair = slot.coeffs[2 * t : 2 * t + 2], cc[2 * t : 2 * t + 2]
+            # expand along the winning direction while it keeps improving,
+            # so narrow valleys are crossed in one move instead of one step
+            # per sweep
+            cl = values[offset : offset + rungs[k]]
+            offset += rungs[k]
+            for q in range(0, len(cl), 2):
+                d = cl[q] + cl[q + 1] - base
+                if sign * d < sign * delta - _IMPROVE_EPS:
+                    delta, block, new_pair = d, coeffs[k, q : q + 2], cl[q : q + 2]
+                else:
+                    break
+            blocks.append(block)
+            i, j = self.pairs[self.pos[s]]
+            slot.contribs[i], slot.contribs[j] = new_pair
+            slot.total += delta
+            slot.gain -= sign * delta
+        blocks = np.array(blocks)
+        self.V_flat[at] = blocks @ self.V_flat[at]
+        self.rows_flat[at] = blocks @ pair_d
+
+    def _end_sweeps(self, ends: list[int]) -> None:
+        slots = self.slots
+        refresh = [s for s in ends if slots[s].gain > 0.0]
+        if refresh:
+            # rotations keep V isometric to machine precision; a QR after
+            # each sweep that moved stops the residual drift from accumulating
+            V = _reorthonormalize(self.V[refresh])
+            rows = V @ self.bases[refresh].swapaxes(1, 2)
+            self.V[refresh], self.rows[refresh] = V, rows
+            values = self.contribs(rows.reshape(-1, self.n)).reshape(len(refresh), self.m)
+            for s, vals in zip(refresh, values):
+                slots[s].total = float(vals.sum())
+                slots[s].contribs = vals.tolist()
+        finished = []
+        for s in ends:
+            slot = slots[s]
+            self.pos[s] = 0
+            slot.end_sweep()
+            if slot.begin_sweep():
+                self.coeff_stack[s] = slot.coeffs
+            else:
+                finished.append((slot, self.V[s].copy()))
+        if finished:
+            self._settle(finished, [])
+
+    def _settle(self, finished: list, starts: list) -> None:
+        """Fold ended searches into their rows, start the restarts that the
+        folds (or a new row) call for, and drop the slots of rows that
+        stopped.  A search can end as it starts, so this repeats until no
+        restart is left to start."""
+        done = {id(slot) for slot, _ in finished}
+        new = []  # (slot, V, rows) of started searches that run on
+        while finished or starts:
+            for slot, V in finished:
+                starts += [(slot.row, t) for t in
+                           slot.row.finish(slot.t, slot.total - 1.0, V, slot.sweeps)]
+            finished = []
+            if not starts:
                 break
-    value = max(best_val, 0.0)
-    weights, states = _members(obj.base, obj.dims, best_v)
-    spread = float(max(per_restart) - min(per_restart))
-    return RoofResult(value=value, weights=weights, states=states, restart_spread=spread)
+            V = np.stack([row.initial(t) for row, t in starts])
+            rows = V @ np.stack([row.obj.base for row, _ in starts]).swapaxes(1, 2)
+            values = self.contribs(rows.reshape(-1, self.n)).reshape(len(starts), self.m)
+            for (row, t), v, rw, vals in zip(starts, V, rows, values):
+                slot = _Slot(row, t)
+                slot.total = float(vals.sum())
+                slot.contribs = vals.tolist()
+                if self.m < 2 or not slot.begin_sweep():
+                    finished.append((slot, v))
+                else:
+                    new.append((slot, v, rw))
+            starts = []
+        keep = [s for s, slot in enumerate(self.slots)
+                if id(slot) not in done and slot.row.stop is None]
+        new = [entry for entry in new if entry[0].row.stop is None]
+        if len(keep) == len(self.slots) and not new:
+            return
+        self.slots = [self.slots[s] for s in keep] + [slot for slot, *_ in new]
+        self.pos = [self.pos[s] for s in keep] + [0] * len(new)
+        V = np.concatenate([self.V[keep]] + [v[None] for _, v, _ in new])
+        rows = np.concatenate([self.rows[keep]] + [rw[None] for *_, rw in new])
+        self._arrays(V, rows)
 
 
 def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
@@ -577,11 +779,14 @@ def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
     ``(rows, d, d)`` over one ``dims`` and one ``cut``, row ``b`` under
     ``configs[b]``; one :class:`RoofResult` per row, in order.
 
-    The searches run in lockstep: each round, one ``contribs`` call
-    evaluates the pending rows of every search.  Each result equals, bit
-    for bit, what :func:`optimize_roof` gives on its row alone.  Every
-    row must have the shape of ``dims``, since all share the objective's
-    index map.
+    On generic cuts, the searches of every row whose decompositions share
+    m and r run as one array program, a step of which advances every
+    running restart by one row pair; the first restarts of a row run
+    concurrently, and a result its sequential loop would not reach is
+    discarded.  On 2x2-by-2x2 cuts each row runs its exact pair searches
+    one restart at a time.  Each result equals, bit for bit, what
+    :func:`optimize_roof` gives on its row alone.  Every row must have
+    the shape of ``dims``, since all share the objective's index map.
     """
     dims = tuple(dims)
     cut.validate(len(dims))
@@ -592,38 +797,22 @@ def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
         if np.shape(mat) != (d, d):
             raise ValueError(f"row {b} has shape {np.shape(mat)}, not that of dims {dims}")
     objs = [_Objective((mat, dims), cut.a_side, cut.b_side) for mat in mats]
-    if not objs:
-        return []
-    contribs = objs[0].contribs  # the same function for every row of one dims and cut
-    searches = [_roof_search(obj, cfg or RoofConfig()) for obj, cfg in zip(objs, configs)]
-    results: list = [None] * len(searches)
-    pending = {}
-    for b, search in enumerate(searches):
-        try:
-            pending[b] = next(search)
-        except StopIteration as stop:
-            results[b] = stop.value
-    while len(pending) > 1:
-        order = list(pending)
-        requests = [pending[b] for b in order]
-        values = contribs(np.concatenate(requests))
-        start = 0
-        for b, request in zip(order, requests):
-            end = start + len(request)
-            try:
-                pending[b] = searches[b].send(values[start:end])
-            except StopIteration as stop:
-                del pending[b]
-                results[b] = stop.value
-            start = end
-    # the last search runs alone, without the bookkeeping of a round
-    for b, request in pending.items():
-        try:
-            while True:
-                request = searches[b].send(contribs(request))
-        except StopIteration as stop:
-            results[b] = stop.value
-    return results
+    searches = [_Restarts(obj, cfg or RoofConfig()) for obj, cfg in zip(objs, configs)]
+    if objs and objs[0].det_mode:
+        for search in searches:
+            pending = search.launch(speculate=False)
+            while pending:
+                t = pending.pop()
+                pending += search.finish(t, *_pair_exact_search(search.obj, search.initial(t),
+                                                                search.cfg))
+    else:
+        groups: dict[tuple[int, int], list] = {}
+        for search in searches:
+            groups.setdefault((search.m, search.obj.rank), []).extend(
+                (search, t) for t in search.launch(speculate=True))
+        for (m, r), starts in groups.items():
+            _Program(objs[0].contribs, m, r, d).run(starts)
+    return [search.result() for search in searches]
 
 
 def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> RoofResult:
@@ -638,9 +827,11 @@ def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> 
     random kicks of the best point found so far, which escapes the shallow
     stationary points this landscape is prone to.  Non-convergence is
     never fatal: disagreement between searches surfaces as a large
-    ``restart_spread``.  One call runs one restart budget and returns its
-    best value as found; a minimization relaxed by ``squared_tolerance``
-    that stops just above ``min_floor`` is not rerun at full precision.
-    This is the block of one of :func:`optimize_roof_block`.
+    ``restart_spread``, and the result says how many restarts and sweeps
+    ran and why the loop stopped.  One call runs one restart budget and
+    returns its best value as found; a minimization relaxed by
+    ``squared_tolerance`` that stops just above ``min_floor`` is not rerun
+    at full precision.  This is the block of one of
+    :func:`optimize_roof_block`, so its first restarts run concurrently.
     """
     return optimize_roof_block(rho.matrix[None], rho.dims, cut, [config])[0]

@@ -5,6 +5,7 @@ import pytest
 
 from negmono import (
     Bipartition,
+    CampaignConfig,
     DensityMatrix,
     Direction,
     RoofConfig,
@@ -16,12 +17,16 @@ from negmono import (
     optimize_roof,
     optimize_roof_block,
     partial_trace,
+    RelationId,
     two_qubit_tangle_and_toa,
 )
 from negmono.harness import builtin_state
+from negmono.harness import report_sha256, run_campaign
 from negmono.roof import (
     _haar_isometry,
     _Objective,
+    _Program,
+    _Restarts,
     _rotation_blocks,
     _rotation_coeffs,
     _solve_pair,
@@ -213,6 +218,7 @@ class TestOptimizeRoof:
         (dict(cardinality="x"), "cardinality"),
         (dict(value_floor=None), "value_floor"),
         (dict(squared_tolerance=True), "squared_tolerance"),
+        (dict(direction="min"), "direction"),
     ])
     def test_config_rejects_wrong_types(self, over, name):
         with pytest.raises(ValueError, match=name):
@@ -295,9 +301,9 @@ class TestCoordinateSearch:
 
 
 class TestRoofBlock:
-    """optimize_roof_block runs its searches in lockstep, one objective
-    call per round for all of them; each result must equal optimize_roof
-    on its row alone, bit for bit."""
+    """optimize_roof_block advances every running restart of a block as
+    one array program, one trial call per step for all of them; each
+    result must equal optimize_roof on its row alone, bit for bit."""
 
     @staticmethod
     def check(mats, dims, configs):
@@ -312,6 +318,8 @@ class TestRoofBlock:
             assert len(got.states) == len(alone.states)
             for a, b in zip(got.states, alone.states):
                 assert (a.amplitudes == b.amplitudes).all()
+            assert (got.restarts_run, got.sweeps, got.stop) == (
+                alone.restarts_run, alone.sweeps, alone.stop)
         return results
 
     def test_mixed_2x3_stack(self):
@@ -344,7 +352,7 @@ class TestRoofBlock:
         self.check(mats, dims, configs)
 
     def test_2x2_stack(self):
-        # det-mode cuts run the exact pair search, which never yields
+        # det-mode cuts run the exact pair search, one restart at a time
         dims = (2, 2)
         mats = np.stack([haar_random_mixed(dims, 2 + i, np.random.SeedSequence((85, i))).matrix
                          for i in range(3)])
@@ -359,3 +367,131 @@ class TestRoofBlock:
         mats = [haar_random_mixed((2, 3), 3, 86).matrix, haar_random_mixed((3, 3), 3, 87).matrix]
         with pytest.raises(ValueError, match="dims"):
             optimize_roof_block(mats, (2, 3), CUT2, [None, None])
+
+
+def _run_sequential(rho, cfg):
+    """optimize_roof without speculative restarts: each restart starts only
+    after the ones before it have folded, as in a plain restart loop."""
+    obj = _Objective(rho, (0,), (1,))
+    search = _Restarts(obj, cfg)
+    program = _Program(obj.contribs, search.m, obj.rank, obj.base.shape[0])
+    program.run([(search, t) for t in search.launch(speculate=False)])
+    return search.result()
+
+
+class TestRestartScheduling:
+    """Restarts 0-2 of a row run concurrently when they need no incumbent;
+    results still fold in restart order, and a speculative restart that
+    the sequential loop would not reach is discarded."""
+
+    @staticmethod
+    def product_state():
+        return DensityMatrix(np.kron(haar_random_mixed((2,), 2, 82).matrix,
+                                     haar_random_mixed((3,), 3, 83).matrix), (2, 3))
+
+    def test_product_min_discards_speculative_restarts(self):
+        # the eigendecomposition of a product state already has mean
+        # negativity 0, so restart 0 ends at min_floor before its first
+        # sweep and restarts 1 and 2, started beside it, are dropped
+        res = optimize_roof(self.product_state(), CUT2, RoofConfig(restarts=6, seed=2))
+        assert res.value <= RoofConfig().min_floor
+        assert (res.restarts_run, res.sweeps, res.stop) == (1, 0, "floor")
+        assert res.restart_spread == 0.0
+
+    def test_stop_reasons(self):
+        rho = haar_random_mixed((2, 3), 2, np.random.SeedSequence((91, 0)))
+        res = optimize_roof(rho, CUT2, RoofConfig(restarts=2, max_iters=5, seed=1))
+        assert (res.restarts_run, res.stop) == (2, "budget")
+        assert 2 <= res.sweeps <= 10
+        # every pure state in the antisymmetric two-qutrit support has
+        # negativity 1, so restarts 0-2 agree and the loop stops there
+        red = partial_trace(density(builtin_state("aharonov")), (0, 1))
+        res = optimize_roof(red, CUT2, RoofConfig(restarts=8, seed=5, direction=Direction.MAX))
+        assert (res.restarts_run, res.stop) == (3, "consensus")
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_concurrent_equals_sequential(self, case):
+        dims, env, seed, cfg = [
+            ((2, 3), 2, 0, RoofConfig(restarts=4, max_iters=20, seed=1)),
+            ((2, 3), 3, 1, RoofConfig(restarts=6, max_iters=8, seed=2, direction=Direction.MAX)),
+            ((2, 3), 3, 2, RoofConfig(restarts=5, max_iters=12, seed=3, value_floor=0.3)),
+            ((3, 3), 3, 3, RoofConfig(restarts=3, max_iters=6, seed=4)),
+            ((2, 4), 2, 4, RoofConfig(restarts=7, max_iters=10, seed=5, squared_tolerance=1e-3)),
+            ((2, 3), 1, 5, RoofConfig(restarts=4, max_iters=10, seed=6, direction=Direction.MAX)),
+            # restarts 1 and 2 end before restart 0, which then reaches the
+            # floor: their finished results are discarded, not folded
+            ((2, 3), 3, 23, RoofConfig(restarts=5, max_iters=12, seed=23, value_floor=0.3)),
+        ][case]
+        rho = (density(haar_random_pure(dims, 92)) if env == 1
+               else haar_random_mixed(dims, env, np.random.SeedSequence((95, seed))))
+        rows = [rho, self.product_state()] if dims == (2, 3) else [rho]
+        for row in rows:
+            got, seq = optimize_roof(row, CUT2, cfg), _run_sequential(row, cfg)
+            assert (got.value, got.restart_spread) == (seq.value, seq.restart_spread)
+            assert (got.restarts_run, got.sweeps, got.stop) == (seq.restarts_run, seq.sweeps, seq.stop)
+            assert (got.weights == seq.weights).all()
+            assert len(got.states) == len(seq.states)
+            for a, b in zip(got.states, seq.states):
+                assert (a.amplitudes == b.amplitudes).all()
+
+    @pytest.mark.parametrize("dims,rank", [((2, 3), 2), ((2, 3), 3), ((3, 3), 3)])
+    def test_block_shares_objective_calls(self, dims, rank, monkeypatch):
+        # four rows, MIN and MAX mixed: each step of the block evaluates
+        # the trials of every running restart in one call
+        calls = [0]
+        contribs = _Objective.contribs
+
+        def counted(self, rows):
+            calls[0] += 1
+            return contribs(self, rows)
+
+        monkeypatch.setattr(_Objective, "contribs", counted)
+        mats = np.stack([haar_random_mixed(dims, rank, np.random.SeedSequence((93, i))).matrix
+                         for i in range(4)])
+        configs = [RoofConfig(restarts=4, max_iters=15, seed=i,
+                              direction=(Direction.MIN, Direction.MAX)[i % 2]) for i in range(4)]
+        optimize_roof_block(mats, dims, CUT2, configs)
+        block = calls[0]
+        calls[0] = 0
+        for mat, cfg in zip(mats, configs):
+            optimize_roof(DensityMatrix(mat, dims), CUT2, cfg)
+        assert block < 0.5 * calls[0]
+
+
+class TestCampaignDigests:
+    """sha256 of campaign reports whose values come from the roof search.
+
+    Recorded from the generator-driven coordinate search that the array
+    program replaced; they hold every roof trajectory of these campaigns
+    to the last bit, so a change to the search's step rule changes them
+    and needs a recorded reason.  Like every LAPACK-backed value, they are
+    specific to the numpy build (numpy 2.4, scipy-openblas 0.3.31 on
+    x86_64) they were recorded with.
+    """
+
+    ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+    RELATIONS = tuple(RelationId(r) for r in (
+        "mono-hamming", "mono-ladder", "mono-hamming-base", "mono-ladder-base",
+        "poly-hamming", "poly-ladder", "poly-hamming-base", "poly-ladder-base"))
+    CAPPED = RoofConfig(restarts=4, max_iters=40)
+    CASES = {
+        # 2x3 marginals, the Gram branch of the objective
+        "2x2x3": (dict(dims=(2, 2, 3), samples=12, seed=11, roof=CAPPED),
+                  "86170195d13403224e492674d243676c03ab8e4e95242427b31876728090dbab"),
+        "2x3x3": (dict(dims=(2, 3, 3), samples=3, seed=12, roof=CAPPED),
+                  "d3adac19c4f5a39e85ef0adf81c6f3a988a87f503eabf5baff0d260eca132720"),
+        # the 3x3 marginal of parties 0 and 1 takes the SVD branch
+        "3x3x2": (dict(dims=(3, 3, 2), samples=3, seed=12, roof=CAPPED),
+                  "8691e1a9e4cefd5d677eaac83fc98c570e536e406ca70e9f31fea7fd858090f4"),
+        # collective tails: SCRENoA of 2x4 and 2x8 cuts
+        "collective": (dict(dims=(2, 2, 2, 2), samples=16, seed=13, alphas=(-0.5, -1.0),
+                            relations=(RelationId.MONO_LADDER_NEG_COLLECTIVE,),
+                            roof=RoofConfig(restarts=3, max_iters=20, seed=3)),
+                       "2af3ed8b4098576bc89bdd6f5cc2548af4124bb6295a67849e3e6529eedc26b9"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_digest(self, name):
+        over, digest = self.CASES[name]
+        config = CampaignConfig(**{"alphas": self.ALPHAS, "relations": self.RELATIONS, **over})
+        assert report_sha256(run_campaign(config)) == digest
