@@ -24,7 +24,6 @@ values adds left to right from zero.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import re
@@ -61,7 +60,8 @@ from .relations import (
     row_sum,
 )
 from .roof import Direction, RoofConfig
-from .states import PureState, check_density_block, haar_random_pure, ket, partial_trace_block
+from .states import (PureState, check_density_block, haar_random_pure, ket, partial_trace_block,
+                     validate_dims)
 
 # states per block of run_campaign: 1 MB of density matrices at five
 # qubits, so peak memory does not grow with the sample count
@@ -263,6 +263,7 @@ class CampaignConfig:
         need(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
         need(isinstance(self.dims, (list, tuple)) and all(_is_int(d) for d in self.dims),
              "dims", "a list of integers")
+        need(len(validate_dims(self.dims)) >= 2, "dims", "a list of at least two tensor factors")
         need(isinstance(self.alphas, (list, tuple))
              and all(_is_real(a) and math.isfinite(a) for a in self.alphas),
              "alphas", "a list of finite numbers")
@@ -518,7 +519,10 @@ def campaign_config_from_dict(data: dict) -> CampaignConfig:
         raise ValueError(f"roof must be a JSON object, got {roof_data!r}")
     _reject_unknown_keys(roof_data, RoofConfig, "roof config")
     # direction is chosen per measure
-    roof = RoofConfig(**{k: v for k, v in roof_data.items() if k != "direction"})
+    try:
+        roof = RoofConfig(**{k: v for k, v in roof_data.items() if k != "direction"})
+    except ValueError as exc:
+        raise ValueError(f"roof: {exc}") from None
     return CampaignConfig(**{**data, "roof": roof})
 
 
@@ -593,7 +597,3 @@ def emit_report(obj, fmt: str, path=None) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def report_sha256(report: CampaignReport) -> str:
-    return hashlib.sha256(campaign_report_json(report).encode()).hexdigest()

@@ -252,29 +252,30 @@ def _one_flag(flags):
     return flags if flags.ndim else bool(flags)
 
 
-def check_ordering_condition(values, k, tol: float = COND_TOL):
+def check_ordering_condition(values, k):
     """True iff ``k * v_j >= v_{j+1} >= 0`` for all consecutive j.
 
     On a block of rows (rows, m) with one k per row, one flag per row.
     """
     vals = np.asarray(values, dtype=float)
     k = np.asarray(k, dtype=float)[..., None]
-    holds = ~(vals < -tol).any(axis=-1) & (k * vals[..., :-1] >= vals[..., 1:] - tol).all(axis=-1)
+    holds = ~(vals < -COND_TOL).any(axis=-1)
+    holds &= (k * vals[..., :-1] >= vals[..., 1:] - COND_TOL).all(axis=-1)
     return _one_flag(holds)
 
 
-def check_tail_sum_condition(values, k, tol: float = COND_TOL):
+def check_tail_sum_condition(values, k):
     """True iff ``k * v_i >= sum_{j > i} v_j`` for all i up to N-2.
 
     On a block of rows (rows, m) with one k per row, one flag per row.
     """
     vals = np.asarray(values, dtype=float)
     k = np.asarray(k, dtype=float)
-    holds = ~(vals < -tol).any(axis=-1)
+    holds = ~(vals < -COND_TOL).any(axis=-1)
     tail = 0.0
     for i in range(vals.shape[-1] - 1, 0, -1):
         tail = tail + vals[..., i]
-        holds = holds & (k * vals[..., i - 1] >= tail - tol)
+        holds = holds & (k * vals[..., i - 1] >= tail - COND_TOL)
     return _one_flag(holds)
 
 

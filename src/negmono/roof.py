@@ -29,7 +29,8 @@ the incumbent) start at once as concurrent slots; a result that the
 sequential loop would not have reached is discarded.  2x2-by-2x2 cuts
 run the exact pair search one restart at a time.
 :func:`optimize_roof_block` drives a stack of density matrices that share
-dims and cut, and :func:`optimize_roof` is the block of one.
+dims and cut, all on one ``_Objective`` built from the dims and the cut,
+and :func:`optimize_roof` is the block of one.
 """
 
 from __future__ import annotations
@@ -92,14 +93,17 @@ class RoofConfig:
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.value_floor < 0 or self.squared_tolerance < 0:
-            raise ValueError("value_floor and squared_tolerance must be nonnegative")
+        # the comparisons are False for NaN, so NaN fails each rule
+        for name, ok, rule in (
+                ("restarts", self.restarts >= 1, ">= 1"),
+                ("max_iters", self.max_iters >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("cardinality", self.cardinality is None or self.cardinality >= 1, ">= 1"),
+                ("step_tolerance", 0 < self.step_tolerance < math.inf, "finite and positive"),
+                ("value_floor", 0 <= self.value_floor < math.inf, "finite and >= 0"),
+                ("squared_tolerance", 0 <= self.squared_tolerance < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def min_floor(self) -> float:
@@ -183,7 +187,7 @@ def decomposition_from_isometry(rho: DensityMatrix, V: np.ndarray):
 
 
 class _Objective:
-    """Cached machinery for evaluating sum_k ||reshape(v_k)||_1^2 - 1.
+    """Cached index maps for evaluating sum_k ||reshape(v_k)||_1^2 - 1.
 
     For an unnormalized member v with nuclear norm t of its cut-reshaped
     matrix, ``p * N(psi) = t^2 - p``; summing over a decomposition gives
@@ -194,31 +198,21 @@ class _Objective:
     as ``det_mode``: there ``t^2 = ||v||^2 + 2 |det|`` with det an actual
     quadratic form of the member, which unlocks the exact per-pair solver.
 
-    ``rho`` is a :class:`DensityMatrix` or a ``(matrix, dims)`` pair of a
-    matrix that is already checked.  ``contribs`` depends on the dims and
-    the cut alone, so one objective's ``contribs`` serves every density
-    matrix with the same dims and cut.
+    It depends on the dims and the cut alone, so one objective serves
+    every density matrix of a block.
     """
 
-    def __init__(self, rho, a_side, b_side):
-        matrix, dims = (rho.matrix, rho.dims) if isinstance(rho, DensityMatrix) else rho
-        self.dims = dims
-        self.d_a = prod(dims[i] for i in a_side)
-        self.d_b = prod(dims[i] for i in b_side)
+    def __init__(self, dims: tuple[int, ...], a_side, b_side):
         index = np.arange(prod(dims)).reshape(dims).transpose(tuple(a_side) + tuple(b_side))
-        self.perm = index.reshape(self.d_a, self.d_b)
-        if self.d_b == 2 and self.d_a != 2:
+        self.perm = index.reshape(prod(dims[i] for i in a_side), -1)
+        if self.perm.shape[1] == 2 and self.perm.shape[0] != 2:
             self.perm = self.perm.T  # orient the 2-dim side first for the Gram fast path
-            self.d_a, self.d_b = self.d_b, self.d_a
-        self.det_mode = self.d_a == 2 and self.d_b == 2
+        self.gram = self.perm.shape[0] == 2
+        self.det_mode = self.perm.shape == (2, 2)
         self.perm_flat = tuple(int(i) for i in self.perm.reshape(-1))
         # state-space indices of the two rows of the reshaped member, for
         # the Gram fast path
         self.half_rows = tuple(np.ascontiguousarray(half) for half in self.perm[:2])
-        self.base, self.rank = _eig_base(matrix)
-
-    def rows_of(self, V: np.ndarray) -> np.ndarray:
-        return V @ self.base.T
 
     def contribs(self, rows: np.ndarray) -> np.ndarray:
         """Nuclear-norm-squared of each row's cut-reshaped matrix.
@@ -226,7 +220,7 @@ class _Objective:
         Each row's value depends on that row alone, bit for bit, however
         many rows come in one call; the coordinate search relies on this.
         """
-        if self.d_a == 2:
+        if self.gram:
             x = rows[:, self.half_rows[0]]
             y = rows[:, self.half_rows[1]]
             yc = y.conj()
@@ -298,9 +292,10 @@ def _solve_pair(di: complex, dj: complex, b: complex,
     return val, theta, phi
 
 
-def _pair_exact_search(obj: _Objective, V: np.ndarray,
+def _pair_exact_search(obj: _Objective, base: np.ndarray, V: np.ndarray,
                        cfg: RoofConfig) -> tuple[float, np.ndarray, int]:
-    """Block-coordinate descent with exact per-pair solves (det_mode cuts).
+    """Block-coordinate descent with exact per-pair solves (det_mode cuts),
+    from the isometry ``V`` over the eigenbase ``base``.
 
     Each sweep moves every row pair (i, j) of V to the exact optimum of
     ``|det_i| + |det_j|`` over the pair's whole rotation plane
@@ -327,7 +322,7 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray,
     def cross_of(x, y) -> complex:
         return complex(x[p0] * y[p3] + y[p0] * x[p3] - x[p1] * y[p2] - y[p1] * x[p2])
 
-    rows = obj.rows_of(V)
+    rows = V @ base.T
     dets = [det_of(rows[k]) for k in range(m)]
     fro = float(np.real((rows * rows.conj()).sum()))
 
@@ -340,7 +335,7 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray,
     def refresh():
         nonlocal V, rows, dets, fro
         V = _reorthonormalize(V)
-        rows = obj.rows_of(V)
+        rows = V @ base.T
         dets[:] = [det_of(rows[k]) for k in range(m)]
         fro = float(np.real((rows * rows.conj()).sum()))
 
@@ -386,10 +381,7 @@ def _pair_exact_search(obj: _Objective, V: np.ndarray,
 
 
 def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    q, rr = np.linalg.qr(z)
-    d = np.diagonal(rr)
-    return q * (d / np.abs(d))
+    return _reorthonormalize(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
 
 
 def _reorthonormalize(V: np.ndarray) -> np.ndarray:
@@ -458,29 +450,32 @@ def _perturb(V: np.ndarray, rng: np.random.Generator, angle: float) -> np.ndarra
 
 
 class _Restarts:
-    """The restart loop of :func:`optimize_roof` on one density matrix.
+    """The restart loop of :func:`optimize_roof` on one density matrix,
+    whose eigenbase ``base`` (rank ``rank``) it holds.
 
     Restart 0 starts from the eigendecomposition, restarts below
     ``n_independent`` from seeded Haar isometries, and later ones from a
-    kick of the incumbent.  Searches hand in their results through
-    :meth:`finish` in any order; the results fold in restart order, as a
-    sequential loop folds them, and a fold may end the loop (``stop``)
-    or start the next restart.  Restart t runs only once restarts 0..t-1
-    have folded, except for :meth:`launch`'s speculative ones.
+    kick of the incumbent; restart t draws from the stream
+    ``SeedSequence(cfg.seed, spawn_key=(t,))``.  Searches hand in their
+    results through :meth:`finish` in any order; the results fold in
+    restart order, as a sequential loop folds them, and a fold may end
+    the loop (``stop``) or start the next restart.  Restart t runs only
+    once restarts 0..t-1 have folded, except for :meth:`launch`'s
+    speculative ones.
     """
 
-    def __init__(self, obj: _Objective, cfg: RoofConfig):
-        r = obj.rank
+    def __init__(self, matrix: np.ndarray, dims: tuple[int, ...], cfg: RoofConfig):
+        self.base, r = _eig_base(matrix)
+        self.rank = r
         if cfg.cardinality is None:
             self.m = max(min(r * r, 16), r)
         else:
             self.m = int(cfg.cardinality)
             if self.m < r:
                 raise ValueError(f"cardinality {self.m} below rank {r}")
-        self.obj, self.cfg = obj, cfg
+        self.dims, self.cfg = dims, cfg
         self.minimize = cfg.direction is Direction.MIN
         self.n_independent = max(1, (cfg.restarts + 1) // 2)
-        self.children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
         self.per_restart: list[float] = []
         self.best_val = self.best_v = None
         self.sweeps = 0
@@ -497,12 +492,12 @@ class _Restarts:
         return list(range(self.started))
 
     def initial(self, t: int) -> np.ndarray:
-        m, r = self.m, self.obj.rank
+        m, r = self.m, self.rank
         if t == 0:
             v0 = np.zeros((m, r), dtype=complex)
             v0[:r, :r] = np.eye(r)
             return v0
-        rng = np.random.default_rng(self.children[t])
+        rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed, spawn_key=(t,)))
         if t < self.n_independent:
             return _haar_isometry(m, r, rng)
         return _perturb(self.best_v, rng, _HOP_ANGLES[t % len(_HOP_ANGLES)])
@@ -549,7 +544,7 @@ class _Restarts:
             self.stop = "budget"
 
     def result(self) -> RoofResult:
-        weights, states = _members(self.obj.base, self.obj.dims, self.best_v)
+        weights, states = _members(self.base, self.dims, self.best_v)
         return RoofResult(value=max(self.best_val, 0.0), weights=weights, states=states,
                           restart_spread=float(max(self.per_restart) - min(self.per_restart)),
                           restarts_run=len(self.per_restart), sweeps=self.sweeps, stop=self.stop)
@@ -630,7 +625,7 @@ class _Program:
         self.at = np.arange(S, dtype=np.intp)[:, None] * self.m + self.pair_index[:, None, :]
         self.slot_index = np.arange(S, dtype=np.intp)
         self.in_phase = len(set(self.pos)) <= 1
-        self.bases = np.stack([slot.row.obj.base for slot in self.slots]) if S else None
+        self.bases = np.stack([slot.row.base for slot in self.slots]) if S else None
         self.coeff_stack = np.stack([slot.coeffs for slot in self.slots]) if S else None
 
     def run(self, starts: list[tuple[_Restarts, int]]) -> None:
@@ -751,7 +746,7 @@ class _Program:
             if not starts:
                 break
             V = np.stack([row.initial(t) for row, t in starts])
-            rows = V @ np.stack([row.obj.base for row, _ in starts]).swapaxes(1, 2)
+            rows = V @ np.stack([row.base for row, _ in starts]).swapaxes(1, 2)
             values = self.contribs(rows.reshape(-1, self.n)).reshape(len(starts), self.m)
             for (row, t), v, rw, vals in zip(starts, V, rows, values):
                 slot = _Slot(row, t)
@@ -796,22 +791,22 @@ def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
     for b, mat in enumerate(mats):
         if np.shape(mat) != (d, d):
             raise ValueError(f"row {b} has shape {np.shape(mat)}, not that of dims {dims}")
-    objs = [_Objective((mat, dims), cut.a_side, cut.b_side) for mat in mats]
-    searches = [_Restarts(obj, cfg or RoofConfig()) for obj, cfg in zip(objs, configs)]
-    if objs and objs[0].det_mode:
+    obj = _Objective(dims, cut.a_side, cut.b_side)
+    searches = [_Restarts(mat, dims, cfg or RoofConfig()) for mat, cfg in zip(mats, configs)]
+    if obj.det_mode:
         for search in searches:
             pending = search.launch(speculate=False)
             while pending:
                 t = pending.pop()
-                pending += search.finish(t, *_pair_exact_search(search.obj, search.initial(t),
-                                                                search.cfg))
+                V = search.initial(t)
+                pending += search.finish(t, *_pair_exact_search(obj, search.base, V, search.cfg))
     else:
         groups: dict[tuple[int, int], list] = {}
         for search in searches:
-            groups.setdefault((search.m, search.obj.rank), []).extend(
+            groups.setdefault((search.m, search.rank), []).extend(
                 (search, t) for t in search.launch(speculate=True))
         for (m, r), starts in groups.items():
-            _Program(objs[0].contribs, m, r, d).run(starts)
+            _Program(obj.contribs, m, r, d).run(starts)
     return [search.result() for search in searches]
 
 

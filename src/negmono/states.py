@@ -26,7 +26,7 @@ def validate_dims(dims) -> tuple[int, ...]:
     if not out:
         raise ValueError("dims must contain at least one tensor factor")
     if any(d < 2 for d in out):
-        raise ValueError(f"every local dimension must be >= 2, got {out}")
+        raise ValueError(f"dims must have every local dimension >= 2, got {out}")
     return out
 
 
@@ -50,22 +50,29 @@ def float_pow(x, y) -> np.ndarray:
     return np.asarray(_PY_POW(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} has a non-finite entry {values[~np.isfinite(values)][0]}")
+
+
 def check_density_block(mats: np.ndarray) -> None:
-    """The :class:`DensityMatrix` checks (Hermitian within 1e-12, unit
-    trace within 1e-12, no eigenvalue below -1e-10) on a matrix or on
-    every matrix of a stack ``(..., d, d)``; the first failure raises."""
+    """The :class:`DensityMatrix` checks (finite entries, Hermitian within
+    1e-12, unit trace within 1e-12, no eigenvalue below -1e-10) on a
+    matrix or on every matrix of a stack ``(..., d, d)``; the first
+    failure raises."""
+    _require_finite(mats, "matrix")
     herm = mats.conj().swapaxes(-1, -2)
     asym = np.abs(mats - herm).max(axis=(-2, -1))
-    if (asym > HERM_ATOL).any():
+    if not (asym <= HERM_ATOL).all():
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym.max():.3e}")
     tr = np.trace(mats, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
-    if (off > HERM_ATOL).any():
+    if not (off <= HERM_ATOL).all():
         raise ValueError(f"matrix trace {tr.flat[off.argmax()]} is not 1")
     herm += mats  # the Hermitian part, in place: a stack can be large
     herm *= 0.5
     min_eig = np.linalg.eigvalsh(herm).min(axis=-1)
-    if (min_eig < -PSD_ATOL).any():
+    if not (min_eig >= -PSD_ATOL).all():
         raise ValueError(f"matrix has negative eigenvalue {min_eig.min():.3e}")
 
 
@@ -93,15 +100,12 @@ class PureState:
                 f"amplitude length {amps.size} does not match dims {dims} "
                 f"(product {prod(dims)})"
             )
+        _require_finite(amps, "state vector")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     @property
     def n_factors(self) -> int:
@@ -126,39 +130,15 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def n_factors(self) -> int:
         return len(self.dims)
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt decomposition of a pure state across one bipartition.
-
-    ``coefficients`` are the non-increasing singular values of the reshaped
-    amplitude matrix; ``left_basis[:, i]`` / ``right_basis[i, :]`` are the
-    matching orthonormal vectors, so the state is
-    ``sum_i coefficients[i] * left_basis[:, i] (x) right_basis[i, :]``.
-    """
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the flat amplitude vector in (left, right) axis order."""
-        mat = (self.left_basis * self.coefficients) @ self.right_basis
-        return mat.reshape(-1)
 
 
 def ket(amplitudes, dims) -> PureState:
     """Build a normalized :class:`PureState` from raw amplitudes.
 
-    The input is normalized; a zero vector or a length mismatch raises
-    ``ValueError``.
+    The input is normalized; a zero or non-finite vector or a length
+    mismatch raises ``ValueError``.
     """
     dims = validate_dims(dims)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -166,6 +146,7 @@ def ket(amplitudes, dims) -> PureState:
         raise ValueError(
             f"amplitude length {amps.size} does not match dims {dims} (product {prod(dims)})"
         )
+    _require_finite(amps, "state vector")
     norm = np.linalg.norm(amps)
     if norm < 1e-14:
         raise ValueError("cannot normalize a zero vector")
@@ -260,20 +241,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).sum())
 
 
-def schmidt(psi: PureState, left) -> SchmidtForm:
-    """Schmidt decomposition of ``psi`` across the ``left`` | complement cut."""
-    left = _check_subsystems(left, psi.n_factors)
-    right = tuple(i for i in range(psi.n_factors) if i not in left)
-    if not right:
-        raise ValueError("left side of the bipartition must be a proper subset")
-    t = psi.amplitudes.reshape(psi.dims)
-    d_left = prod(psi.dims[i] for i in left)
-    d_right = prod(psi.dims[i] for i in right)
-    mat = t.transpose(left + right).reshape(d_left, d_right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtForm(coefficients=_frozen(s), left_basis=_frozen(u), right_basis=_frozen(vh))
-
-
 def haar_random_pure(dims, seed) -> PureState:
     """Draw a Haar-distributed pure state, reproducible bit-for-bit from ``seed``.
 
@@ -320,16 +287,8 @@ def read_state_json(path) -> tuple[PureState, float]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        dims = validate_dims(data["dims"])
-        pairs = data["amplitudes"]
-        amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        amps = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=complex)
+        psi = ket(amps, data["dims"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    if amps.size != prod(dims):
-        raise ValueError(
-            f"state file {path}: {amps.size} amplitudes do not match dims {dims}"
-        )
-    norm = float(np.linalg.norm(amps))
-    if norm < 1e-14:
-        raise ValueError(f"state file {path} contains a zero vector")
-    return PureState(amps / norm, dims), norm
+    return psi, float(np.linalg.norm(amps))

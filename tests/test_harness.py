@@ -24,7 +24,6 @@ from negmono.harness import (
     campaign_report_json,
     relation_report_dict,
     relation_reports_to_csv,
-    report_sha256,
 )
 
 LIGHT_ROOF = RoofConfig(restarts=6, seed=0)
@@ -166,7 +165,7 @@ class TestCampaign:
     def test_deterministic_bytes(self):
         a = run_campaign(self.small_config())
         b = run_campaign(self.small_config())
-        assert report_sha256(a) == report_sha256(b)
+        assert campaign_report_json(a) == campaign_report_json(b)
 
     def test_sample_state_shard_independent(self):
         cfg = self.small_config()
@@ -207,6 +206,9 @@ class TestCampaign:
         dict(k_policy=-3),
         dict(seed=-1),
         dict(sort_values="no"),
+        dict(dims=()),
+        dict(dims=(2,)),
+        dict(dims=(1, 2)),
     ])
     def test_invalid_config_rejected(self, over):
         with pytest.raises(ValueError):
@@ -329,6 +331,7 @@ class TestCli:
         {"samples": 2, "k_policy": "bogus"},
         {"samples": 2, "k_policy": -3},
         {"samples": 2, "seed": -1},
+        {"samples": 2, "roof": {"step_tolerance": float("nan")}},
     ])
     def test_campaign_bad_config_file_exit_one(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
@@ -367,6 +370,25 @@ class TestCli:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, name", [
+        (["--dims", "2"], "dims"),
+        (["--roof-seed", "-1"], "seed"),
+        (["--cardinality", "0"], "cardinality"),
+    ])
+    def test_campaign_bad_flag_exit_one(self, capsys, flag, name):
+        code = cli_main(["campaign", "--dims", "2,2,2", "--samples", "2", "--alphas", "1",
+                         "--relations", "mono-hamming", *flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_measure_non_finite_state_exit_one(self, tmp_path, capsys, bad):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2, 2], "amplitudes": [[%s, 0], [0, 0], [0, 0], [1, 0]]}' % bad)
+        assert cli_main(["measure", str(path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "ghz3", "--relation", "bogus", "--alphas", "1"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,8 +22,9 @@ from negmono import (
     two_qubit_tangle_and_toa,
 )
 from negmono.harness import builtin_state
-from negmono.harness import report_sha256, run_campaign
+from negmono.harness import campaign_report_json, run_campaign
 from negmono.roof import (
+    _eig_base,
     _haar_isometry,
     _Objective,
     _Program,
@@ -219,6 +221,13 @@ class TestOptimizeRoof:
         (dict(value_floor=None), "value_floor"),
         (dict(squared_tolerance=True), "squared_tolerance"),
         (dict(direction="min"), "direction"),
+        # out-of-range values; NaN and inf would change results silently
+        (dict(step_tolerance=math.nan), "step_tolerance"),
+        (dict(step_tolerance=math.inf), "step_tolerance"),
+        (dict(value_floor=math.inf), "value_floor"),
+        (dict(squared_tolerance=math.nan), "squared_tolerance"),
+        (dict(seed=-1), "seed"),
+        (dict(cardinality=0), "cardinality"),
     ])
     def test_config_rejects_wrong_types(self, over, name):
         with pytest.raises(ValueError, match=name):
@@ -254,9 +263,10 @@ class TestCoordinateSearch:
         # expansion ladder, in one call each and reuses the winner's values,
         # so a row's value must not depend on the other rows of its call
         rho = haar_random_mixed(dims, 3, np.random.SeedSequence((61, *dims)))
-        obj = _Objective(rho, (0,), (1,))
+        obj = _Objective(dims, (0,), (1,))
+        base, rank = _eig_base(rho.matrix)
         rng = np.random.default_rng(62)
-        rows = obj.rows_of(_haar_isometry(9, obj.rank, rng))
+        rows = _haar_isometry(9, rank, rng) @ base.T
         for i, j in ((0, 1), (2, 7), (5, 8)):
             pair_d = rows[(i, j), :]
             for step in (0.5, 2.0**-6, 2.0**-20):
@@ -372,9 +382,9 @@ class TestRoofBlock:
 def _run_sequential(rho, cfg):
     """optimize_roof without speculative restarts: each restart starts only
     after the ones before it have folded, as in a plain restart loop."""
-    obj = _Objective(rho, (0,), (1,))
-    search = _Restarts(obj, cfg)
-    program = _Program(obj.contribs, search.m, obj.rank, obj.base.shape[0])
+    search = _Restarts(rho.matrix, rho.dims, cfg)
+    program = _Program(_Objective(rho.dims, (0,), (1,)).contribs, search.m, search.rank,
+                       rho.matrix.shape[0])
     program.run([(search, t) for t in search.launch(speculate=False)])
     return search.result()
 
@@ -494,4 +504,5 @@ class TestCampaignDigests:
     def test_report_digest(self, name):
         over, digest = self.CASES[name]
         config = CampaignConfig(**{"alphas": self.ALPHAS, "relations": self.RELATIONS, **over})
-        assert report_sha256(run_campaign(config)) == digest
+        text = campaign_report_json(run_campaign(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

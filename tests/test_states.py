@@ -13,7 +13,6 @@ from negmono import (
     partial_trace,
     partial_transpose,
     read_state_json,
-    schmidt,
     tensor,
     trace_norm,
     write_state_json,
@@ -78,6 +77,16 @@ class TestKet:
         with pytest.raises(ValueError):
             ket([1, 0], (2, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ket([bad, 0, 0, 1], (2, 2))
+
+    def test_pure_state_rejects_nan(self):
+        # NaN fails no norm comparison, so it is checked for on its own
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState([np.nan, 0, 0, 0], (2, 2))
+
 
 class TestTensor:
     def test_basis_product(self):
@@ -131,6 +140,13 @@ class TestDensityMatrixValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex), (2,))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, entry):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[entry] = mat[entry[::-1]] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(mat, (2, 2))
 
 
 class TestPartialTrace:
@@ -217,42 +233,6 @@ class TestTraceNorm:
             assert trace_norm(partial_transpose(rho, (2,))) >= 1 - 1e-10
 
 
-class TestSchmidt:
-    def test_bell_coefficients(self):
-        form = schmidt(bell(), (0,))
-        assert np.allclose(form.coefficients, [1 / np.sqrt(2)] * 2)
-
-    def test_product_state_rank_one(self):
-        psi = tensor(haar_random_pure((2,), 4), haar_random_pure((3,), 5))
-        form = schmidt(psi, (0,))
-        assert abs(form.coefficients[0] - 1) < 1e-12
-        assert np.all(form.coefficients[1:] < 1e-12)
-
-    def test_antisymmetric_coefficients_vs_svd_oracle(self):
-        psi = builtin_state("aharonov")
-        oracle = np.linalg.svd(psi.amplitudes.reshape(3, 9), compute_uv=False)
-        form = schmidt(psi, (0,))
-        assert np.allclose(form.coefficients, oracle)
-        assert np.allclose(form.coefficients, [1 / np.sqrt(3)] * 3, atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(41)
-        for left in [(0,), (1,), (0, 2)]:
-            psi = haar_random_pure((2, 3, 2), rng.integers(1 << 31))
-            form = schmidt(psi, left)
-            assert abs((form.coefficients**2).sum() - 1) < 1e-10
-            right = tuple(i for i in range(3) if i not in left)
-            rebuilt = form.reconstruct().reshape(
-                [psi.dims[i] for i in left + right]
-            )
-            original = psi.amplitudes.reshape(psi.dims).transpose(left + right)
-            assert np.abs(rebuilt - original).max() < 1e-10
-
-    def test_rejects_full_left_side(self):
-        with pytest.raises(ValueError):
-            schmidt(bell(), (0, 1))
-
-
 class TestHaarSampling:
     def test_deterministic_given_seed(self):
         a = haar_random_pure((2, 2, 2), 7)
@@ -316,6 +296,14 @@ class TestStateJson:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[1, 0]]}))
         with pytest.raises(ValueError):
+            read_state_json(path)
+
+    # json.load reads NaN and Infinity
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_reader_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dims": [2, 2], "amplitudes": [[%s, 0], [0, 0], [0, 0], [1, 0]]}' % bad)
+        with pytest.raises(ValueError, match="non-finite"):
             read_state_json(path)
 
     def test_reader_rejects_zero_vector(self, tmp_path):
