@@ -13,14 +13,14 @@ The generic search is bound by per-call overhead on tiny arrays, so it
 runs as an array program (``_Program``): every running search of a block
 whose decompositions share m and r is one slot of stacked arrays, rows
 ``(S, m, n)``, isometries ``(S, m, r)`` and contributions ``(S, m)``.
-Each step advances every slot by one row pair with one batched trial
-matmul and one ``_Objective.contribs`` call, then one ladder call for
-the slots whose best trial improved; at sweep boundaries the slots that
-moved share one stacked QR and refresh.  The accept and ladder decisions
-stay per slot, in Python scalars.  ``contribs`` is row-wise and the
-batched matmul and QR are slice-wise to the last bit, so a slot's values
-never depend on its batch: every search takes the trajectory it takes
-alone.
+The slots sweep the row pairs in lockstep: step p moves every slot by
+pair p with one batched trial matmul and one ``_Objective.contribs``
+call, then one ladder call for the slots whose best trial improved; at
+the sweep boundary the slots that moved share one stacked QR and
+refresh.  The accept and ladder decisions stay per slot, in Python
+scalars.  ``contribs`` is row-wise and the batched matmul and QR are
+slice-wise to the last bit, so a slot's values never depend on its
+batch: every search takes the trajectory it takes alone.
 
 Each density matrix runs its restart loop as a ``_Restarts`` object,
 which folds results in restart order.  The restarts that a sequential
@@ -599,10 +599,10 @@ class _Program:
     when a minimization reaches ``min_floor``.
 
     Slot s holds ``V[s]`` (m, r), its image ``rows[s] = V[s] @ base.T``
-    (m, n) and, in its ``_Slot``, the contributions and step control.  A
-    step moves every slot by one pair, each at its own position in its
-    sweep; slots join when their restart starts and leave when their
-    search ends or their row stops.
+    (m, n) and, in its ``_Slot``, the contributions and step control.
+    The slots share m, so the pairs, and sweep them in lockstep.  Slots
+    join when their restart starts and leave when their search ends or
+    their row stops, all at the sweep boundary.
     """
 
     def __init__(self, contribs, m: int, r: int, n: int):
@@ -611,7 +611,6 @@ class _Program:
         self.pairs = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
         self.pair_index = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
         self.slots: list[_Slot] = []
-        self.pos: list[int] = []  # each slot's index into self.pairs
         self._arrays(np.empty((0, m, r), complex), np.empty((0, m, n), complex))
 
     def _arrays(self, V: np.ndarray, rows: np.ndarray) -> None:
@@ -619,28 +618,27 @@ class _Program:
         self.V, self.rows = V, rows
         # flat views: row i of slot s is row s * m + i
         self.V_flat, self.rows_flat = V.reshape(S * self.m, self.r), rows.reshape(S * self.m, self.n)
-        # flat row indices (pair, slot, 2) of every slot's rows at every pair;
-        # slots that start together stay at one position, as every slot
-        # moves one pair per step and every sweep has the same pairs
+        # flat row indices (pair, slot, 2) of every slot's rows at every pair
         self.at = np.arange(S, dtype=np.intp)[:, None] * self.m + self.pair_index[:, None, :]
-        self.slot_index = np.arange(S, dtype=np.intp)
-        self.in_phase = len(set(self.pos)) <= 1
         self.bases = np.stack([slot.row.base for slot in self.slots]) if S else None
         self.coeff_stack = np.stack([slot.coeffs for slot in self.slots]) if S else None
 
     def run(self, starts: list[tuple[_Restarts, int]]) -> None:
         self._settle([], starts)
         while self.slots:
-            self._step()
+            for p in range(len(self.pairs)):
+                self._step(p)
+            self._end_sweeps()
 
-    def _step(self) -> None:
-        slots, pos, pairs, n = self.slots, self.pos, self.pairs, self.n
-        at = self.at[pos[0]] if self.in_phase else self.at[pos, self.slot_index]
+    def _step(self, p: int) -> None:
+        """Try pair p of every slot, and move the slots it improves."""
+        i, j = self.pairs[p]
+        at = self.at[p]
         pair_d = self.rows_flat[at]
-        trials = self.contribs((self.coeff_stack @ pair_d).reshape(-1, n)).reshape(-1, 8).tolist()
+        trials = self.contribs((self.coeff_stack @ pair_d).reshape(-1, self.n))
+        trials = trials.reshape(-1, 8).tolist()
         won = []
-        for s, (slot, p, cc) in enumerate(zip(slots, pos, trials)):
-            i, j = pairs[p]
+        for s, (slot, cc) in enumerate(zip(self.slots, trials)):
             base = slot.contribs[i] + slot.contribs[j]
             sign = slot.sign
             deltas = [cc[0] + cc[1] - base, cc[2] + cc[3] - base,
@@ -650,16 +648,12 @@ class _Program:
             if signed[t] < -_IMPROVE_EPS:
                 won.append((s, t, deltas[t], base, cc))
         if won:
-            self._move(won, at, pair_d)
-        P = len(pairs)
-        self.pos = pos = [p + 1 for p in pos]
-        ends = [s for s in range(len(slots)) if pos[s] == P]
-        if ends:
-            self._end_sweeps(ends)
+            self._move(won, i, j, at, pair_d)
 
-    def _move(self, won: list, at: np.ndarray, pair_d: np.ndarray) -> None:
+    def _move(self, won: list, i: int, j: int, at: np.ndarray, pair_d: np.ndarray) -> None:
         """Expand every improving slot's best trial along its ladder, in one
-        ``contribs`` call over the slots' own rungs, and apply the moves.
+        ``contribs`` call over the slots' own rungs, and apply the moves to
+        their rows i and j.
 
         A row of a matmul does not depend on the other rows of its left
         factor, so ladders of different heights (slots at different steps)
@@ -698,7 +692,6 @@ class _Program:
                 else:
                     break
             blocks.append(block)
-            i, j = self.pairs[self.pos[s]]
             slot.contribs[i], slot.contribs[j] = new_pair
             slot.total += delta
             slot.gain -= sign * delta
@@ -706,9 +699,9 @@ class _Program:
         self.V_flat[at] = blocks @ self.V_flat[at]
         self.rows_flat[at] = blocks @ pair_d
 
-    def _end_sweeps(self, ends: list[int]) -> None:
+    def _end_sweeps(self) -> None:
         slots = self.slots
-        refresh = [s for s in ends if slots[s].gain > 0.0]
+        refresh = [s for s, slot in enumerate(slots) if slot.gain > 0.0]
         if refresh:
             # rotations keep V isometric to machine precision; a QR after
             # each sweep that moved stops the residual drift from accumulating
@@ -720,9 +713,7 @@ class _Program:
                 slots[s].total = float(vals.sum())
                 slots[s].contribs = vals.tolist()
         finished = []
-        for s in ends:
-            slot = slots[s]
-            self.pos[s] = 0
+        for s, slot in enumerate(slots):
             slot.end_sweep()
             if slot.begin_sweep():
                 self.coeff_stack[s] = slot.coeffs
@@ -763,7 +754,6 @@ class _Program:
         if len(keep) == len(self.slots) and not new:
             return
         self.slots = [self.slots[s] for s in keep] + [slot for slot, *_ in new]
-        self.pos = [self.pos[s] for s in keep] + [0] * len(new)
         V = np.concatenate([self.V[keep]] + [v[None] for _, v, _ in new])
         rows = np.concatenate([self.rows[keep]] + [rw[None] for *_, rw in new])
         self._arrays(V, rows)

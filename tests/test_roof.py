@@ -23,6 +23,7 @@ from negmono import (
 )
 from negmono.harness import builtin_state
 from negmono.harness import campaign_report_json, run_campaign
+from negmono.measures import squared_roof_block
 from negmono.roof import (
     _eig_base,
     _haar_isometry,
@@ -379,6 +380,102 @@ class TestRoofBlock:
             optimize_roof_block(mats, (2, 3), CUT2, [None, None])
 
 
+class TestEmbeddedOracle:
+    """The search campaigns run, against an exact oracle.
+
+    Local isometries leave SCREN and SCRENoA unchanged, so a two-qubit
+    state embedded by W_A (identity, or a Haar isometry into C^3) and a
+    Haar W_B into C^3 keeps the closed-form values, while
+    squared_roof_block sends the embedded 2x3 and 3x3 states through the
+    Gram and SVD branches of the roof search.  Rank 2 is exact at the
+    campaign config; the rank-4 bounds are the worst errors of that
+    search on these states, rounded up, a gate to tighten and never to
+    widen.
+    """
+
+    CONFIG = RoofConfig(restarts=4, max_iters=40)
+    # (rank, A dim): (states, MIN bound, MAX bound)
+    CASES = {
+        (2, 2): (12, 1e-6, 1e-6),
+        (2, 3): (12, 1e-6, 1e-6),
+        (4, 2): (12, 7e-5, 2e-9),
+        (4, 3): (4, 8e-5, 5e-12),
+    }
+
+    @pytest.mark.parametrize("rank,a_dim", sorted(CASES))
+    def test_embedded_two_qubit_states(self, rank, a_dim):
+        n, min_bound, max_bound = self.CASES[rank, a_dim]
+        exact, mats = [], []
+        for i in range(n):
+            rho = haar_random_mixed((2, 2), rank, np.random.SeedSequence((2026, rank, i)))
+            rng = np.random.default_rng(np.random.SeedSequence((2027, rank, a_dim, i)))
+            w_a = np.eye(2) if a_dim == 2 else _haar_isometry(3, 2, rng)
+            w = np.kron(w_a, _haar_isometry(3, 2, rng))
+            exact.append(two_qubit_tangle_and_toa(rho))
+            mats.append(DensityMatrix(w @ rho.matrix @ w.conj().T, (a_dim, 3)).matrix)
+        tangle, toa = np.array(exact).T
+        lo, hi = squared_roof_block(np.stack(mats), (a_dim, 3), CUT2, self.CONFIG)
+        # MIN is an upper bound on the tangle, MAX a lower bound on the TOA
+        assert (lo.values >= tangle - 1e-12).all()
+        assert (hi.values <= toa + 1e-12).all()
+        assert (lo.values - tangle).max() <= min_bound
+        assert (toa - hi.values).max() <= max_bound
+
+
+class TestRoofBlockDigest:
+    """sha256 over every field of optimize_roof_block results on seeded
+    blocks that the campaign digests do not reach: 3x2 and 2x4 cuts, rows
+    of mixed rank (several (m, r) programs in one call), product rows that
+    stop at the floor, non-default cardinality, value_floor and
+    squared_tolerance, MIN and MAX.
+
+    Recorded before the array program swept its row pairs in lockstep;
+    it holds every trajectory of these blocks to the last bit.  Like the
+    campaign digests, it is specific to the numpy build (numpy 2.4,
+    scipy-openblas 0.3.31 on x86_64) it was recorded with.
+    """
+
+    DIMS = ((2, 3), (3, 2), (3, 3), (2, 4))
+    BLOCKS = 32
+    DIGEST = "4ef622fbab55b3e6997f30d23aa05f756ac46acbbeaa0e6abffa531fca499852"
+
+    @classmethod
+    def block(cls, b):
+        rng = np.random.default_rng(np.random.SeedSequence((97, b)))
+        dims = cls.DIMS[b % len(cls.DIMS)]
+        top = 3 if dims == (3, 3) else 4
+        ranks = [int(rng.integers(2, top + 1)) for _ in range(int(rng.integers(2, 4)))]
+        mats = [haar_random_mixed(dims, r, np.random.SeedSequence((97, b, k))).matrix
+                for k, r in enumerate(ranks)]
+        if b % 3 == 0:
+            # a rank-2 product state: its MIN search stops at the floor
+            ranks.append(2)
+            mats.append(np.kron(
+                haar_random_mixed(dims[:1], 2, np.random.SeedSequence((98, b))).matrix,
+                density(haar_random_pure(dims[1:], np.random.SeedSequence((99, b)))).matrix))
+        configs = [RoofConfig(
+            cardinality=(None, r, r + 1, r * r)[int(rng.integers(4))],
+            restarts=int(rng.integers(1, 6)),
+            max_iters=int(rng.integers(3, 13)),
+            seed=int(rng.integers(100)),
+            direction=(Direction.MIN, Direction.MAX)[int(rng.integers(2))],
+            value_floor=(0.0, 0.05, 0.3)[int(rng.integers(3))],
+            squared_tolerance=(0.0, 1e-4, 1e-2)[int(rng.integers(3))]) for r in ranks]
+        return np.stack(mats), dims, configs
+
+    def test_block_digest(self):
+        h = hashlib.sha256()
+        for b in range(self.BLOCKS):
+            mats, dims, configs = self.block(b)
+            for res in optimize_roof_block(mats, dims, CUT2, configs):
+                h.update(np.array([res.value, res.restart_spread]).tobytes())
+                h.update(res.weights.tobytes())
+                for psi in res.states:
+                    h.update(psi.amplitudes.tobytes())
+                h.update(f"{res.restarts_run} {res.sweeps} {res.stop};".encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 def _run_sequential(rho, cfg):
     """optimize_roof without speculative restarts: each restart starts only
     after the ones before it have folded, as in a plain restart loop."""
@@ -418,6 +515,37 @@ class TestRestartScheduling:
         red = partial_trace(density(builtin_state("aharonov")), (0, 1))
         res = optimize_roof(red, CUT2, RoofConfig(restarts=8, seed=5, direction=Direction.MAX))
         assert (res.restarts_run, res.stop) == (3, "consensus")
+
+    def test_row_stop_drops_running_restarts(self, monkeypatch):
+        # a separable mixture of Haar product states: restart 0 reaches the
+        # floor after 34 sweeps while restarts 1 and 2, started beside it,
+        # still run; the row's stop drops their slots, so neither search
+        # is ever handed in
+        rng = np.random.default_rng(np.random.SeedSequence((100, 95)))
+        k = int(rng.integers(2, 4))
+        weights = rng.dirichlet(np.ones(k))
+        members = [np.kron(haar_random_pure((2,), rng).amplitudes,
+                           haar_random_pure((3,), rng).amplitudes) for _ in range(k)]
+        rho = DensityMatrix(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, members)),
+                            (2, 3))
+        cfg = RoofConfig(restarts=6, max_iters=40, seed=95)
+        seq = _run_sequential(rho, cfg)
+        handed_in = []
+        finish = _Restarts.finish
+
+        def recorded(self, t, *args):
+            handed_in.append(t)
+            return finish(self, t, *args)
+
+        monkeypatch.setattr(_Restarts, "finish", recorded)
+        got = optimize_roof(rho, CUT2, cfg)
+        assert handed_in == [0]
+        assert (got.restarts_run, got.stop) == (1, "floor")
+        assert (got.value, got.restart_spread, got.sweeps) == (seq.value, seq.restart_spread,
+                                                               seq.sweeps)
+        assert (got.weights == seq.weights).all()
+        for a, b in zip(got.states, seq.states, strict=True):
+            assert (a.amplitudes == b.amplitudes).all()
 
     @pytest.mark.parametrize("case", range(7))
     def test_concurrent_equals_sequential(self, case):

@@ -6,6 +6,7 @@ import pytest
 from negmono import (
     DensityMatrix,
     PureState,
+    analyze,
     density,
     haar_random_mixed,
     haar_random_pure,
@@ -82,10 +83,63 @@ class TestKet:
         with pytest.raises(ValueError, match="non-finite"):
             ket([bad, 0, 0, 1], (2, 2))
 
+    def test_norm_overflow(self, tmp_path):
+        # the entries are finite but their sum of squares is not; this
+        # runs under warnings-as-errors, so the overflow must not warn
+        psi = ket([1e200, 0, 0, -1e200j], (2, 2))
+        assert np.allclose(psi.amplitudes, np.array([1, 0, 0, -1j]) / np.sqrt(2), rtol=0, atol=1e-15)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": [2, 2],
+                                    "amplitudes": [[1e200, 0], [0, 0], [0, 0], [0, -1e200]]}))
+        loaded, norm = read_state_json(path)
+        assert (loaded.amplitudes == psi.amplitudes).all()
+        assert norm == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+
+    def test_unscaled_when_norm_is_finite(self):
+        # a vector whose plain norm is finite is divided by it, bit for bit
+        rng = np.random.default_rng(13)
+        for scale in (1e-10, 1.0, 1e150):
+            amps = scale * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+            assert (ket(amps, (2, 3)).amplitudes == amps / np.linalg.norm(amps)).all()
+
     def test_pure_state_rejects_nan(self):
         # NaN fails no norm comparison, so it is checked for on its own
         with pytest.raises(ValueError, match="non-finite"):
             PureState([np.nan, 0, 0, 0], (2, 2))
+
+
+class TestNormBoundary:
+    """Every state that PureState accepts can be analysed, and so can the
+    tensor product of two of them: the squared-norm check leaves room for
+    roundoff below the unit-trace check of a density matrix."""
+
+    OFFSETS = [k * 1e-13 for k in range(-12, 13)]
+
+    @staticmethod
+    def accepted(unit, dims):
+        states = []
+        for offset in TestNormBoundary.OFFSETS:
+            try:
+                states.append(PureState(unit * (1.0 + offset), dims))
+            except ValueError:
+                pass
+        return states
+
+    def test_accepted_states_analyse(self):
+        ghz = np.zeros(8)
+        ghz[[0, 7]] = 1.0 / np.sqrt(2.0)
+        states = self.accepted(ghz, (2, 2, 2))
+        assert len(states) >= 9  # every |norm - 1| <= 4e-13 passes
+        for psi in states:
+            density(psi)
+            analyze(psi)
+
+    def test_tensor_of_accepted_states(self):
+        states = self.accepted(np.array([0.6, 0.8j]), (2,))
+        assert len(states) >= 9
+        for a in states:
+            for b in states:
+                density(tensor(a, b))
 
 
 class TestTensor:
