@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -183,6 +184,11 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # a run that compares nothing, or against no usable bound, must not PASS
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cut = Bipartition.split(2, (0,))
     worst = 0.0
     for rank_label, env in (("rank-2", 2), ("full-rank", 4)):

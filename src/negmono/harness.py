@@ -219,6 +219,8 @@ def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
           sort_values: bool = False, roof_config: RoofConfig | None = None) -> list[RelationReport]:
     """One relation over an alpha grid on a single state."""
     spec = REGISTRY[relation]
+    if len(alphas) == 0:
+        raise ValueError(f"the alpha grid for {relation.value} is empty")
     for alpha in alphas:
         if not spec.alpha_range.contains(float(alpha)):
             raise ValueError(

@@ -5,15 +5,17 @@ is the squared convex roof of negativity (minimum mean pure-state
 negativity over all decompositions, squared), SCRENoA the squared concave
 roof (maximum).  For pure states both collapse to the pure-state
 negativity squared; for two-qubit states the Wootters spin-flip algebra
-gives exact closed forms that double as oracles for the roof optimizer.
+gives exact closed forms, all in :func:`two_qubit_block`, that double as
+oracles for the roof optimizer.
 
 :func:`squared_roof_block` is the one place that picks how SCREN and
-SCRENoA are computed, over a stack of density matrices: the two-qubit
-closed forms first, then the pure-state formula, then the roof optimizer.
-Every (row, direction) of a stack that needs the roof runs in one
-:func:`~negmono.roof.optimize_roof_block` call, MIN and MAX mixed, whose
-searches advance together as one array program.  :func:`scren` and
-:func:`screnoa` are its one-matrix case.
+SCRENoA are computed, as masked columns over a stack of density
+matrices: a 2x2 stack takes the two-qubit closed forms;
+otherwise one batched ``eigh`` marks the pure rows, whose values come from
+one batched SVD shared by both directions, and every (row, direction) of
+the other rows runs in one :func:`~negmono.roof.optimize_roof_block` call,
+MIN and MAX mixed, whose searches advance together as one array program.
+:func:`scren` and :func:`screnoa` are its one-matrix case.
 """
 
 from __future__ import annotations
@@ -105,12 +107,18 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     return float(_clamp_nonneg(trace_norm(partial_transpose(rho, cut.b_side)) - 1.0))
 
 
+def _cut_matrices(amps: np.ndarray, dims: tuple[int, ...], cut: Bipartition) -> np.ndarray:
+    """Amplitude vectors ``(..., prod(dims))`` as matrices ``(..., d_A, d_B)``
+    across a cut already checked against ``dims``."""
+    lead = amps.shape[:-1]
+    axes = tuple(range(len(lead))) + tuple(len(lead) + i for i in cut.a_side + cut.b_side)
+    t = amps.reshape(lead + tuple(dims)).transpose(axes)
+    return t.reshape(lead + (prod(dims[i] for i in cut.a_side), prod(dims[i] for i in cut.b_side)))
+
+
 def _cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
     cut.validate(psi.n_factors)
-    d_a = prod(psi.dims[i] for i in cut.a_side)
-    d_b = prod(psi.dims[i] for i in cut.b_side)
-    t = psi.amplitudes.reshape(psi.dims)
-    return t.transpose(cut.a_side + cut.b_side).reshape(d_a, d_b)
+    return _cut_matrices(psi.amplitudes, psi.dims, cut)
 
 
 def pure_tangle(psi: PureState, cut: Bipartition) -> float:
@@ -139,53 +147,30 @@ def pure_scren(psi: PureState, cut: Bipartition) -> float:
     return n * n
 
 
-def spin_flip_mus(rho: DensityMatrix) -> np.ndarray:
-    """Decreasing square roots of the eigenvalues of ``rho * rho_tilde``
-    for a two-qubit state, ``rho_tilde = (Y (x) Y) conj(rho) (Y (x) Y)``.
+def two_qubit_block(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tangle ``max(0, mu1 - mu2 - mu3 - mu4)^2`` and tangle of
+    assistance ``(mu1 + mu2 + mu3 + mu4)^2`` of every checked two-qubit
+    density matrix in a stack ``(..., 4, 4)``, from one batched ``eigvals``
+    whose rows match a single matrix's bit for bit.
 
-    The product is not Hermitian but its spectrum is provably real and
-    nonnegative; tiny negative parts from roundoff are clamped.
+    The mu_i are the decreasing square roots of the eigenvalues of
+    ``rho * rho_tilde``, ``rho_tilde = (Y (x) Y) conj(rho) (Y (x) Y)``: the
+    product is not Hermitian but its spectrum is provably real and
+    nonnegative, so tiny negative parts from roundoff are clamped.
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"spin flip requires dims (2, 2), got {rho.dims}")
-    return _spin_flip_block(rho.matrix)
-
-
-def _spin_flip_block(mats: np.ndarray) -> np.ndarray:
-    tilde = _YY @ mats.conj() @ _YY
-    w = np.linalg.eigvals(mats @ tilde)
-    w = np.clip(np.real(w), 0.0, None)
-    return np.sqrt(np.sort(w, axis=-1)[..., ::-1])
-
-
-def _tangle_and_toa(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w = np.linalg.eigvals(mats @ (_YY @ mats.conj() @ _YY))
+    mu = np.sqrt(np.sort(np.clip(np.real(w), 0.0, None), axis=-1)[..., ::-1])
     c = mu[..., 0] - mu[..., 1:].sum(axis=-1)
     c = np.where(c > 0.0, c, 0.0)
     return c * c, float_pow(mu.sum(axis=-1), 2)
 
 
-def two_qubit_block(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`two_qubit_tangle_and_toa` of every validated two-qubit
-    density matrix in a stack ``(..., 4, 4)``: one batched spin-flip
-    product and ``eigvals``, whose results match a single matrix's bit for
-    bit."""
-    return _tangle_and_toa(_spin_flip_block(mats))
-
-
 def two_qubit_tangle_and_toa(rho: DensityMatrix) -> tuple[float, float]:
-    """Exact two-qubit tangle ``max(0, mu1 - mu2 - mu3 - mu4)^2`` and tangle
-    of assistance ``(mu1 + mu2 + mu3 + mu4)^2``, from one spin-flip spectrum."""
-    tangle, toa = _tangle_and_toa(spin_flip_mus(rho))
+    """:func:`two_qubit_block` of one two-qubit state."""
+    if rho.dims != (2, 2):
+        raise ValueError(f"spin flip requires dims (2, 2), got {rho.dims}")
+    tangle, toa = two_qubit_block(rho.matrix)
     return float(tangle), float(toa)
-
-
-def _dominant_pure_state(matrix: np.ndarray, dims: tuple[int, ...]) -> PureState | None:
-    """The state a checked density matrix projects on, or None if it is mixed."""
-    w, u = np.linalg.eigh(matrix)
-    if w[-1] < 1.0 - 1e-10:
-        return None
-    vec = u[:, -1]
-    return PureState(vec / np.linalg.norm(vec), dims)
 
 
 def _squared_gap(value_pre: float, spread: float, direction: Direction) -> float:
@@ -213,14 +198,15 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
     checked density matrix in a stack ``(rows, d, d)`` over ``dims``: one
     :class:`MeasureColumn` per entry of ``directions``, in that order.
 
-    Dispatch: a 2x2 stack takes the Wootters closed forms, both directions
-    from one batched spin-flip spectrum (exact for pure and mixed states
-    alike); otherwise a pure row takes the pure-state formula and every
-    other row the roof optimizer, once per direction, all of them in one
-    :func:`~negmono.roof.optimize_roof_block` call.  The
-    optimizer value is an upper bound on the true roof for MIN and a lower
-    bound for MAX; restart disagreement is reported in ``certified_gaps``,
-    never silently.
+    Dispatch, as masked columns over the stack: a 2x2 stack takes the
+    closed forms of :func:`two_qubit_block` (exact for pure and mixed
+    states alike).  Otherwise one batched ``eigh`` marks the pure rows (top
+    eigenvalue within 1e-10 of 1), whose top eigenvectors take the
+    pure-state formula once for both directions; every other row takes
+    the roof optimizer once per direction, all in one
+    :func:`~negmono.roof.optimize_roof_block` call.  The optimizer value is
+    an upper bound on the true roof for MIN and a lower bound for MAX;
+    restart disagreement is reported in ``certified_gaps``, never silently.
     """
     cut.validate(len(dims))
     rows = len(mats)
@@ -229,24 +215,23 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
         exact = {Direction.MIN: tangle, Direction.MAX: toa}
         return tuple(MeasureColumn(exact[d], [Method.TWO_QUBIT_CLOSED_FORM] * rows, np.zeros(rows))
                      for d in directions)
-    cols = [MeasureColumn(np.empty(rows), [None] * rows, np.empty(rows)) for _ in directions]
-    roof_cells = []  # (row, column) of every value the roof gives
-    for b in range(rows):
-        psi = _dominant_pure_state(mats[b], dims)
-        for c, col in enumerate(cols):
-            if psi is None:
-                roof_cells.append((b, c))
-            else:
-                col.values[b], col.methods[b], col.certified_gaps[b] = (
-                    pure_scren(psi, cut), Method.PURE_FORMULA, 0.0)
+    w, u = np.linalg.eigh(mats)
+    pure = w[:, -1] >= 1.0 - 1e-10
+    # the 1-D norm of each vector: an axis= norm sums in another order
+    tops = np.array([u[b, :, -1] / np.linalg.norm(u[b, :, -1]) for b in np.flatnonzero(pure)])
+    neg = pure_negativity_block(_cut_matrices(tops.reshape(-1, mats.shape[-1]), dims, cut))
+    values = np.zeros(rows)
+    values[pure] = neg * neg
+    cols = tuple(MeasureColumn(values.copy(), [Method.PURE_FORMULA if p else Method.ROOF_OPTIMIZER
+                                               for p in pure], np.zeros(rows)) for _ in directions)
+    roof_cells = [(b, c) for b in np.flatnonzero(~pure) for c in range(len(directions))]
     base = config or RoofConfig()
     results = optimize_roof_block(mats[[b for b, _ in roof_cells]], dims, cut,
                                   [replace(base, direction=directions[c]) for _, c in roof_cells])
     for (b, c), res in zip(roof_cells, results):
-        cols[c].values[b], cols[c].methods[b], cols[c].certified_gaps[b] = (
-            res.value**2, Method.ROOF_OPTIMIZER,
-            _squared_gap(res.value, res.restart_spread, directions[c]))
-    return tuple(cols)
+        cols[c].values[b] = res.value**2
+        cols[c].certified_gaps[b] = _squared_gap(res.value, res.restart_spread, directions[c])
+    return cols
 
 
 def scren(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None) -> MeasureValue:

@@ -136,27 +136,35 @@ class DensityMatrix:
 
 
 def _norm(amps: np.ndarray) -> tuple[float, float]:
-    """``(scale, norm)``, ``scale * norm`` the Euclidean norm of the finite
-    ``amps``: scale is 1 unless the plain norm overflows."""
+    """``(scale, norm)``: ``norm`` is the Euclidean norm of ``amps / scale``,
+    so ``scale * norm`` is that of the finite ``amps`` (0 for a zero vector).
+
+    scale is 1 unless the plain norm overflows, where it is the largest
+    real or imaginary magnitude, or falls below 1e-14, where it is the
+    power of two just above that magnitude (at least 2**-1021, so that
+    dividing by it is exact and its reciprocal finite)."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(amps)
-    if norm < np.inf:
+    if 1e-14 <= norm < np.inf:
         return 1.0, norm
-    scale = max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+    scale = max(np.abs(amps.real).max(initial=0.0), np.abs(amps.imag).max(initial=0.0))
+    if norm < np.inf:
+        scale = float(np.ldexp(1.0, max(int(np.frexp(scale)[1]), -1021)))
     return scale, np.linalg.norm(amps / scale)
 
 
 def ket(amplitudes, dims) -> PureState:
     """Build a normalized :class:`PureState` from raw amplitudes.
 
-    The input is normalized, also where its norm overflows; a zero or
-    non-finite vector or a length mismatch raises ``ValueError``.
+    The input is normalized, also where its norm overflows or underflows;
+    an all-zero or non-finite vector or a length mismatch raises
+    ``ValueError``.
     """
     dims = validate_dims(dims)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     _require_finite(amps, "state vector")
     scale, norm = _norm(amps)
-    if norm < 1e-14:
+    if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return PureState(amps / scale / norm, dims)
 

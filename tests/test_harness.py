@@ -125,6 +125,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(builtin_state("ghz3"), RelationId.MONO_HAMMING, (0.5,), "auto")
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            sweep(builtin_state("ghz3"), RelationId.MONO_HAMMING, (), "auto")
+
 
 class TestCampaign:
     def small_config(self, **over):
@@ -402,6 +406,41 @@ class TestCli:
     def test_usage_error_exit_one(self, argv, capsys):
         assert cli_main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_measure_tiny_norm_state_file(self, tmp_path, capsys):
+        # a file whose amplitudes all lie near the underflow limit is
+        # normalized like any other
+        bell = tmp_path / "bell.json"
+        write_state_json(builtin_state("bell"), bell)
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[1e-200, 0], [0, 0], [0, 0], [1e-200, 0]]}))
+        assert cli_main(["measure", str(bell)]) == 0
+        expect = capsys.readouterr().out.splitlines()[1:]
+        assert cli_main(["measure", str(tiny)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == expect
+        assert "note: input normalized (factor 1.41421356237e-200)" in captured.err
+
+    def test_sweep_empty_alpha_grid_exit_one(self, capsys):
+        code = cli_main(["sweep", "bell", "--relation", "mono-hamming", "--alphas", ","])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "empty" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, name", [
+        (["--samples", "0"], "--samples"),
+        (["--samples", "-3"], "--samples"),
+        (["--tolerance", "nan"], "--tolerance"),
+        (["--tolerance", "inf"], "--tolerance"),
+        (["--tolerance=-1e-6"], "--tolerance"),
+    ])
+    def test_oracle_check_bad_flag_exit_one(self, capsys, flag, name):
+        code = cli_main(["oracle-check", *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and name in captured.err
+        assert "PASS" not in captured.out
 
     def test_oracle_check_small(self, capsys):
         code = cli_main(["oracle-check", "--samples", "2", "--seed", "1", "--restarts", "8"])

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from negmono import (
     Bipartition,
+    DensityMatrix,
+    Direction,
     Method,
     RoofConfig,
     density,
@@ -20,7 +24,7 @@ from negmono import (
     two_qubit_tangle_and_toa,
 )
 from negmono.harness import builtin_state
-from negmono.measures import spin_flip_mus
+from negmono.measures import squared_roof_block, two_qubit_block
 
 CUT2 = Bipartition.split(2, (0,))
 CUT3 = Bipartition.split(3, (0,))
@@ -103,8 +107,6 @@ class TestTwoQubitClosedForms:
         red = marginal(builtin_state("ghz3"))
         tangle, toa = two_qubit_tangle_and_toa(red)
         assert tangle == 0.0
-        # spin-flip spectrum of the diagonal 1/2,1/2 mixture is (1/2, 1/2, 0, 0)
-        assert np.allclose(spin_flip_mus(red), [0.5, 0.5, 0, 0], atol=1e-10)
         assert abs(toa - 1.0) < 1e-12
 
     def test_w_marginal(self):
@@ -125,10 +127,10 @@ class TestTwoQubitClosedForms:
     def test_combined_helper_matches(self):
         red = haar_random_mixed((2, 2), 4, 31)
         tangle, toa = two_qubit_tangle_and_toa(red)
-        mu = spin_flip_mus(red)
-        c = max(0.0, float(mu[0] - mu[1:].sum()))
-        assert tangle == c * c
-        assert toa == float(mu.sum()) ** 2
+        # the one-matrix case of the stack form, bit for bit
+        block_tangle, block_toa = two_qubit_block(red.matrix[None])
+        assert block_tangle.tolist() == [tangle]
+        assert block_toa.tolist() == [toa]
         # the measure entry points take their closed forms from it, bit for bit
         assert scren(red, CUT2).value == tangle
         assert screnoa(red, CUT2).value == toa
@@ -202,3 +204,79 @@ class TestBaselineInequalities:
                     toas.append(a)
                 assert lhs >= sum(tangles) - 1e-9
                 assert lhs <= sum(toas) + 1e-9
+
+
+def _pure_or_mixed(dims, kind, seed):
+    """A pure row (kind 0) or a rank-``kind`` mixed row over ``dims``."""
+    if kind == 0:
+        return density(haar_random_pure(dims, seed)).matrix
+    return haar_random_mixed(dims, kind, seed).matrix
+
+
+class TestRoofBlockDispatch:
+    """squared_roof_block over whole stacks: pure rows, roof rows and the
+    two-qubit closed form in one call, each row as its one-matrix form
+    computes it."""
+
+    CONFIG = RoofConfig(restarts=2, max_iters=6, seed=5)
+
+    def test_empty_stack(self):
+        cut = Bipartition.split(2, (0,))
+        lo, hi = squared_roof_block(np.zeros((0, 6, 6), dtype=complex), (2, 3), cut)
+        for col in (lo, hi):
+            assert col.values.shape == (0,)
+            assert col.methods == []
+            assert col.certified_gaps.shape == (0,)
+
+    @pytest.mark.parametrize("dims, a_side", [((2, 3), (0,)), ((3, 2), (1,)), ((2, 3, 2), (0, 2))])
+    def test_interleaved_rows_equal_one_matrix_forms(self, dims, a_side):
+        cut = Bipartition.split(len(dims), a_side)
+        kinds = (0, 2, 0, 0, 3, 2, 0)
+        mats = np.stack([_pure_or_mixed(dims, kind, np.random.SeedSequence((41, len(dims), i)))
+                         for i, kind in enumerate(kinds)])
+        lo, hi = squared_roof_block(mats, dims, cut, self.CONFIG)
+        for b, kind in enumerate(kinds):
+            rho = DensityMatrix(mats[b], dims)
+            for col, one in ((lo, scren(rho, cut, self.CONFIG)), (hi, screnoa(rho, cut, self.CONFIG))):
+                assert col.row(b) == one
+                assert one.method is (Method.PURE_FORMULA if kind == 0 else Method.ROOF_OPTIMIZER)
+
+
+class TestRoofBlockDispatchDigest:
+    """sha256 over values, methods and gaps of squared_roof_block on
+    35 seeded stacks of 0-4 rows, pure and mixed rows interleaved, over 2x2,
+    2x3, 3x2, 3x3, 2x4 and three-factor cuts, for MIN, MAX or both.
+
+    Recorded before the non-2x2 dispatch became masked columns over the
+    stack; like the other digests it is specific to the numpy build
+    (numpy 2.4, scipy-openblas 0.3.31 on x86_64) it was recorded with.
+    """
+
+    CASES = (((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (1,)), ((3, 3), (0,)), ((2, 4), (0,)),
+             ((2, 3, 2), (0, 2)), ((2, 2, 2), (1,)))
+    DIRECTIONS = ((Direction.MIN,), (Direction.MAX,), (Direction.MIN, Direction.MAX))
+    STACKS = 35
+    DIGEST = "4b3ddb9197d44cd95f3df6958c7250950360e84e0609447158f4fd49b774a3a1"
+
+    @classmethod
+    def stack(cls, s):
+        rng = np.random.default_rng(np.random.SeedSequence((43, s)))
+        dims, a_side = cls.CASES[s % len(cls.CASES)]
+        kinds = [(0, 2, 3)[int(rng.integers(3))] for _ in range(int(rng.integers(0, 5)))]
+        d = int(np.prod(dims))
+        mats = np.stack([_pure_or_mixed(dims, k, np.random.SeedSequence((43, s, i)))
+                         for i, k in enumerate(kinds)]) if kinds else np.zeros((0, d, d), complex)
+        config = RoofConfig(restarts=int(rng.integers(1, 3)), max_iters=int(rng.integers(2, 6)),
+                            seed=int(rng.integers(100)))
+        return (mats, dims, Bipartition.split(len(dims), a_side), config,
+                cls.DIRECTIONS[int(rng.integers(3))])
+
+    def test_dispatch_digest(self):
+        h = hashlib.sha256()
+        for s in range(self.STACKS):
+            mats, dims, cut, config, directions = self.stack(s)
+            for col in squared_roof_block(mats, dims, cut, config, directions):
+                h.update(col.values.tobytes())
+                h.update(col.certified_gaps.tobytes())
+                h.update(" ".join(m.value for m in col.methods).encode() + b";")
+        assert h.hexdigest() == self.DIGEST

@@ -95,6 +95,33 @@ class TestKet:
         assert (loaded.amplitudes == psi.amplitudes).all()
         assert norm == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
 
+    def test_norm_underflow(self, tmp_path):
+        # every square underflows to 0, so the plain norm reads 0
+        psi = ket([1e-200, 0, 0, -1e-200j], (2, 2))
+        assert np.allclose(psi.amplitudes, np.array([1, 0, 0, -1j]) / np.sqrt(2), rtol=0, atol=1e-15)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"dims": [2, 2],
+                                    "amplitudes": [[1e-200, 0], [0, 0], [0, 0], [0, -1e-200]]}))
+        loaded, norm = read_state_json(path)
+        assert (loaded.amplitudes == psi.amplitudes).all()
+        assert norm == pytest.approx(np.sqrt(2) * 1e-200, rel=1e-15)
+
+    def test_smallest_subnormal(self, tmp_path):
+        assert (ket([5e-324, 0], (2,)).amplitudes == [1, 0]).all()
+        assert (ket([0, -5e-324j], (2,)).amplitudes == [0, -1j]).all()
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"dims": [2], "amplitudes": [[5e-324, 0], [0, 0]]}))
+        loaded, norm = read_state_json(path)
+        assert (loaded.amplitudes == [1, 0]).all()
+        assert norm == 5e-324
+
+    @pytest.mark.parametrize("zero", [[0, 0], [0.0, -0.0], [0j, -0j, 0, 0]])
+    def test_rejects_only_all_zero(self, zero):
+        with pytest.raises(ValueError, match="zero vector"):
+            ket(zero, (2,) * (len(zero) // 2))
+        # any nonzero entry, however small, is a state
+        ket([5e-324] + zero[1:], (2,) * (len(zero) // 2))
+
     def test_unscaled_when_norm_is_finite(self):
         # a vector whose plain norm is finite is divided by it, bit for bit
         rng = np.random.default_rng(13)
