@@ -56,6 +56,19 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return tuple(float(a) for a in text.split(",") if a)
 
 
+def _attach_alpha_values(argv: list[str]) -> list[str]:
+    """``--alphas -0.5,-1`` as ``--alphas=-0.5,-1``: argparse reads a value
+    that starts with "-" as an option unless it is one plain negative
+    number, so a negative grid would lose its flag's argument."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--alphas", "--alpha"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_relations(text: str) -> tuple[RelationId, ...]:
     return tuple(RelationId(r.strip()) for r in text.split(",") if r.strip())
 
@@ -93,7 +106,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="one relation over an alpha grid on one state")
     p.add_argument("state")
     p.add_argument("--relation", required=True, type=RelationId)
-    p.add_argument("--alphas", "--alpha", required=True, type=_parse_alphas)
+    p.add_argument("--alphas", "--alpha", required=True, type=_parse_alphas,
+                   help="comma-separated finite grid, e.g. 1,2,3 or -0.5,-1")
     p.add_argument("--k", default="auto", type=_parse_k)
     p.add_argument("--sort-values", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -105,7 +119,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--dims", default=None, help="e.g. 2,2,2,2")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alphas", "--alpha", type=_parse_alphas, default=None)
+    p.add_argument("--alphas", "--alpha", type=_parse_alphas, default=None,
+                   help="comma-separated finite grid, e.g. 1,2,3 or -0.5,-1")
     p.add_argument("--relations", "--relation", type=_parse_relations, default=None)
     p.add_argument("--k", type=_parse_k, default=None)
     p.add_argument("--sort-values", dest="sort_values", action="store_true", default=None)
@@ -211,7 +226,7 @@ def _cmd_oracle_check(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_alpha_values(sys.argv[1:] if argv is None else list(argv)))
         handler = {
             "measure": _cmd_measure,
             "sweep": _cmd_sweep,

@@ -1,12 +1,16 @@
 """Builtin states, per-state analysis, sweeps, and Monte Carlo campaigns.
 
-Analysis runs on blocks of states.  :func:`run_campaign` walks its
-samples in fixed blocks of ``_BLOCK`` indices; each block is analysed at
-once (one batched SVD for the full-cut values, a batched outer product
-for the density matrices, and for every marginal rho_{0j} a batched
-partial trace, each stack checked as
-:class:`~negmono.states.DensityMatrix` checks one matrix), and its
-relations are evaluated as columns by
+Analysis runs on blocks of states, each held as one amplitude stack
+``(rows, d)`` from start to finish.  :func:`run_campaign` walks its
+samples in fixed blocks of ``_BLOCK`` indices; each block is drawn in
+one pass (:func:`sample_block`) and analysed at once: one batched SVD
+for the full-cut values and, for every marginal rho_{0j}, the reduced
+states taken straight from the amplitudes
+(:func:`~negmono.states.marginal_block`), so no projector stack is ever
+built.  The amplitudes are checked as
+:class:`~negmono.states.PureState` checks one vector, and each marginal
+stack as :class:`~negmono.states.DensityMatrix` checks one matrix.  A
+block's relations are evaluated as columns by
 :func:`negmono.relations.evaluate_block`.  Which method gives a measure
 value is decided in one place, :func:`negmono.measures.squared_roof_block`
 (two-qubit closed forms, then the pure-state formula, then the roof):
@@ -19,7 +23,8 @@ of one state, so a campaign and a single analysis share every float:
 reports do not depend on the block size.  Batching keeps each value bit
 for bit: every power goes through Python's ``pow`` per element
 (``states.float_pow``, never ``np.power``) and every sum over a state's
-values adds left to right from zero.
+values adds left to right from zero.  A campaign's memory does not grow
+with its sample count: a 5-qubit campaign peaks near 1.3 MB (traced).
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 # scren, screnoa, pure_scren and two_qubit_tangle_and_toa are the
-# one-state forms of squared_roof_block, and density and partial_trace
-# those of the block state functions used here; they stay bound in this
-# module, where the benchmark's tracer wraps each layer
+# one-state forms of squared_roof_block, and haar_random_pure, density and
+# partial_trace those of the block state functions used here; they stay
+# bound in this module, where the benchmark's tracer wraps each layer
 from .measures import (  # noqa: F401
     Bipartition,
     pure_negativity_block,
@@ -45,7 +50,7 @@ from .measures import (  # noqa: F401
     squared_roof_block,
     two_qubit_tangle_and_toa,
 )
-from .states import density, partial_trace  # noqa: F401
+from .states import density, haar_random_pure, partial_trace  # noqa: F401
 from .relations import (
     SAT_TOL,
     MeasureBlock,
@@ -60,12 +65,13 @@ from .relations import (
     row_sum,
 )
 from .roof import Direction, RoofConfig
-from .states import (PureState, check_density_block, haar_random_pure, ket, partial_trace_block,
-                     validate_dims)
+from .states import (PureState, check_density_block, check_pure_block, haar_amplitudes, ket,
+                     marginal_block, validate_dims)
 
-# states per block of run_campaign: 1 MB of density matrices at five
-# qubits, so peak memory does not grow with the sample count
-_BLOCK = 64
+# states per block of run_campaign: no projector stack is built, so a
+# block's largest array at five qubits is one marginal's 512 kB of
+# amplitude products, and a campaign's traced peak stays near 1.3 MB
+_BLOCK = 256
 
 _BUILTIN_RE = re.compile(r"^([a-z]+)[\s(:]*([\d,x ]*)\)?$")
 
@@ -149,30 +155,28 @@ def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
     SCRENoA vector also carries the collective tail measures, computed in
     the sorted order when sorting is on.  This is the block of one state.
     """
-    scren_block, screnoa_block = _analyze_block([psi], roof_config, sort_values, include_tails)
+    scren_block, screnoa_block = _analyze_block(psi.amplitudes[None], psi.dims, roof_config,
+                                                sort_values, include_tails)
     return AnalysisResult(scren=scren_block.row(0), screnoa=screnoa_block.row(0))
 
 
-def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
+def _analyze_block(amps: np.ndarray, dims: tuple[int, ...], roof_config: RoofConfig | None,
                    sort_values: bool, include_tails: bool) -> tuple[MeasureBlock, MeasureBlock]:
-    """:func:`analyze` of states of equal dims, one row each, as a SCREN
-    and a SCRENoA block."""
-    dims = states[0].dims
+    """:func:`analyze` of the states of an amplitude stack ``(rows,
+    prod(dims))``, one row each, as a SCREN and a SCRENoA block."""
     n = len(dims)
     if n < 2:
         raise ValueError("analysis needs at least two tensor factors")
-    rows = len(states)
-    amps = np.stack([psi.amplitudes for psi in states])
+    rows = len(amps)
+    check_pure_block(amps)
     neg = pure_negativity_block(amps.reshape(rows, dims[0], -1))
     lhs = neg * neg
-    rho = amps[:, :, None] * amps.conj()[:, None, :]
-    check_density_block(rho)
 
     cut = Bipartition.split(2, (0,))
     scren_vals = np.empty((rows, n - 1))
     screnoa_vals = np.empty((rows, n - 1))
     for j in range(1, n):
-        marg = partial_trace_block(rho, dims, (0, j))
+        marg = marginal_block(amps, dims, (0, j))
         check_density_block(marg)
         scren_col, screnoa_col = squared_roof_block(marg, (dims[0], dims[j]), cut, roof_config)
         scren_vals[:, j - 1], screnoa_vals[:, j - 1] = scren_col.values, screnoa_col.values
@@ -186,7 +190,7 @@ def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
     tails = None
     if include_tails:
         tails = np.empty((rows, n - 2))
-        groups: dict[tuple[int, ...], list] = {}  # reduced dims -> [(b, i, reduced)]
+        cells: dict[tuple[int, ...], list] = {}  # keep -> [(b, i)]
         for b in range(rows):
             for i in range(n - 2):
                 tail_pos = screnoa_order[b, i + 1:]
@@ -194,14 +198,18 @@ def _analyze_block(states: list[PureState], roof_config: RoofConfig | None,
                     tails[b, i] = screnoa_vals[b, tail_pos[0]]
                     continue
                 keep = (0,) + tuple(sorted(int(p) + 1 for p in tail_pos))
-                reduced = partial_trace_block(rho[b:b + 1], dims, keep)[0]
-                groups.setdefault(tuple(dims[k] for k in keep), []).append((b, i, reduced))
-        for tail_dims, group in groups.items():
-            reduced = np.stack([red for *_, red in group])
+                cells.setdefault(keep, []).append((b, i))
+        groups: dict[tuple[int, ...], tuple[list, list]] = {}  # reduced dims -> (cells, stacks)
+        for keep, where in cells.items():
+            group = groups.setdefault(tuple(dims[k] for k in keep), ([], []))
+            group[0].extend(where)
+            group[1].append(marginal_block(amps[[b for b, _ in where]], dims, keep))
+        for tail_dims, (where, stacks) in groups.items():
+            reduced = np.concatenate(stacks)
             check_density_block(reduced)
             cut_0 = Bipartition.split(len(tail_dims), (0,))
             (tail,) = squared_roof_block(reduced, tail_dims, cut_0, roof_config, (Direction.MAX,))
-            for (b, i, _), value in zip(group, tail.values):
+            for (b, i), value in zip(where, tail.values):
                 tails[b, i] = value
 
     return (
@@ -222,6 +230,8 @@ def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
     if len(alphas) == 0:
         raise ValueError(f"the alpha grid for {relation.value} is empty")
     for alpha in alphas:
+        if not math.isfinite(float(alpha)):
+            raise ValueError(f"alpha = {alpha} is not a finite number")
         if not spec.alpha_range.contains(float(alpha)):
             raise ValueError(
                 f"alpha = {alpha} outside the range of {relation.value} ({spec.alpha_range.value})"
@@ -289,6 +299,32 @@ class CampaignConfig:
                 )
 
 
+class _ExactSum:
+    """The exact sum of a stream of floats, held as a count and a few
+    non-overlapping partials, so that memory stays flat:
+    ``math.fsum(partials)`` is bit for bit ``math.fsum`` of every value
+    added (both are the correctly rounded exact sum)."""
+
+    def __init__(self):
+        self.partials: list[float] = []
+        self.count = 0
+
+    def extend(self, values: list[float]) -> None:
+        # each partial is the rounded remainder of the old partials and
+        # the values less the partials before it, until nothing remains
+        terms = self.partials + values
+        self.partials = []
+        while total := math.fsum(terms):
+            self.partials.append(total)
+            if not math.isfinite(total):
+                break
+            terms.append(-total)
+        self.count += len(values)
+
+    def append(self, value: float) -> None:
+        self.extend([value])
+
+
 @dataclass
 class RelationStats:
     relation: RelationId
@@ -297,13 +333,15 @@ class RelationStats:
     condition_pass: int = 0
     violations: int = 0
     worst_gap: float | None = None
-    _tightness_values: list = field(default_factory=list)
+    # the tightness values, kept only as their exact sum
+    _tightness_values: _ExactSum = field(default_factory=_ExactSum)
 
     @property
     def mean_tightness_delta(self) -> float | None:
-        if not self._tightness_values:
+        total = self._tightness_values
+        if not total.count:
             return None
-        return math.fsum(self._tightness_values) / len(self._tightness_values)
+        return math.fsum(total.partials) / total.count
 
     def absorb(self, cols: ReportColumns) -> None:
         """Fold in a block's rows, as if they came one by one."""
@@ -313,7 +351,7 @@ class RelationStats:
         self.violations += int((evaluated & ~cols.satisfied).sum())
         self.worst_gap = _worst(self.worst_gap, cols.gap[evaluated])
         tightness = cols.tightness[evaluated]
-        self._tightness_values += tightness[~np.isnan(tightness)].tolist()
+        self._tightness_values.extend(tightness[~np.isnan(tightness)].tolist())
 
 
 def _worst(current: float | None, gaps: np.ndarray) -> float | None:
@@ -373,11 +411,18 @@ class CampaignReport:
         )
 
 
+def sample_block(config: CampaignConfig, start: int, stop: int) -> np.ndarray:
+    """The amplitudes of samples ``start`` to ``stop - 1``, one row each:
+    sample i is a Haar draw from the stream keyed on (seed, i),
+    independent of every other sample."""
+    seeds = [np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)) for i in range(start, stop)]
+    return haar_amplitudes(math.prod(config.dims), seeds)
+
+
 def sample_state(config: CampaignConfig, index: int) -> PureState:
-    """The exact state of sample ``index``: a Haar draw from the stream
-    keyed on (seed, index), independent of every other sample."""
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    return haar_random_pure(config.dims, seq)
+    """The exact state of sample ``index``, the one-row case of
+    :func:`sample_block`."""
+    return PureState(sample_block(config, index, index + 1)[0], config.dims)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -399,8 +444,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     baseline = BaselineStats()
     violations: list[ViolationRecord] = []
     for start in range(0, config.samples, _BLOCK):
-        states = [sample_state(config, i) for i in range(start, min(start + _BLOCK, config.samples))]
-        blocks = _analyze_block(states, config.roof, config.sort_values, needs_tails)
+        amps = sample_block(config, start, min(start + _BLOCK, config.samples))
+        blocks = _analyze_block(amps, config.dims, config.roof, config.sort_values, needs_tails)
         baseline.absorb(*blocks)
         found = []
         for block in blocks:

@@ -56,6 +56,20 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has a non-finite entry {values[~np.isfinite(values)][0]}")
 
 
+def check_pure_block(amps: np.ndarray) -> None:
+    """The :class:`PureState` checks (finite entries, squared norm 1
+    within 9e-13) on a vector or on every row of a stack ``(rows, d)``;
+    the first failure raises.
+
+    A row that passes gives a projector a a† that passes
+    :func:`check_density_block`: it is Hermitian, its trace is the squared
+    norm, and its eigenvalues are that norm and zeros, up to roundoff."""
+    _require_finite(amps, "state vector")
+    off = np.abs((amps.real * amps.real + amps.imag * amps.imag).sum(axis=-1) - 1.0)
+    if not (off <= NORM_ATOL).all():
+        raise ValueError(f"state vector is not normalized: |norm^2 - 1| = {off.max():.3e}")
+
+
 def check_density_block(mats: np.ndarray) -> None:
     """The :class:`DensityMatrix` checks (finite entries, Hermitian within
     1e-12, unit trace within 1e-12, no eigenvalue below -1e-10) on a
@@ -101,10 +115,7 @@ class PureState:
                 f"amplitude length {amps.size} does not match dims {dims} "
                 f"(product {prod(dims)})"
             )
-        _require_finite(amps, "state vector")
-        off = abs(np.vdot(amps, amps).real - 1.0)
-        if not off <= NORM_ATOL:
-            raise ValueError(f"state vector is not normalized: |norm^2 - 1| = {off:.3e}")
+        check_pure_block(amps)
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "dims", dims)
 
@@ -214,6 +225,32 @@ def partial_trace_block(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.nda
     return t.reshape(mats.shape[:off] + (d, d))
 
 
+def marginal_block(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """The reduced states on the sorted factors ``keep`` of every row of an
+    amplitude stack ``(rows, prod(dims))``, unvalidated, without building
+    the projector stack a a†.
+
+    Each entry sums the products a_i conj(a_j) that the projector holds
+    over the dropped factors, the last one innermost, each sum adding in
+    index order from +0 as ``np.trace`` does: so every result is bit for
+    bit :func:`partial_trace_block` of the projector, signed zeros too."""
+    rows = amps.shape[0]
+    drop = [i for i in range(len(dims)) if i not in keep]
+    d_keep = prod(dims[i] for i in keep)
+    rest = prod(dims[i] for i in drop)
+    a = np.moveaxis(amps.reshape((rows,) + tuple(dims)), [1 + i for i in keep],
+                    range(1, 1 + len(keep))).reshape(rows, d_keep, rest)
+    t = a[:, :, None, :] * a.conj()[:, None, :, :]
+    for size in reversed([dims[i] for i in drop]):
+        rest //= size
+        t = t.reshape(rows, d_keep, d_keep, rest, size)
+        total = np.zeros(t.shape[:-1], dtype=complex)
+        for k in range(size):
+            total += t[..., k]
+        t = total
+    return t.reshape(rows, d_keep, d_keep)
+
+
 def partial_transpose(rho, subsystems, dims=None) -> np.ndarray:
     """Transpose the listed factors; returns a plain Hermitian matrix.
 
@@ -257,18 +294,29 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).sum())
 
 
+def haar_amplitudes(d: int, seeds) -> np.ndarray:
+    """Haar-distributed unit vectors in C^d, one row per seed: a stack
+    ``(rows, d)``.
+
+    Row i is drawn from ``numpy.random.default_rng(seeds[i])`` alone (real
+    parts, then imaginary parts) and divided by its own norm, so it does
+    not depend on the other rows.
+    """
+    draws = [np.random.default_rng(seed).standard_normal(2 * d) for seed in seeds]
+    g = np.reshape(draws, (-1, 2, d))
+    z = g[:, 0] + 1j * g[:, 1]
+    return z / np.reshape([np.linalg.norm(row) for row in z], (-1, 1))
+
+
 def haar_random_pure(dims, seed) -> PureState:
     """Draw a Haar-distributed pure state, reproducible bit-for-bit from ``seed``.
 
     ``seed`` may be an int or anything ``numpy.random.default_rng`` accepts
-    (e.g. a ``SeedSequence``), which campaign code uses to derive
-    per-sample streams.
+    (e.g. a ``SeedSequence``).  This is the one-row case of
+    :func:`haar_amplitudes`.
     """
     dims = validate_dims(dims)
-    rng = np.random.default_rng(seed)
-    d = prod(dims)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(z / np.linalg.norm(z), dims)
+    return PureState(haar_amplitudes(prod(dims), [seed])[0], dims)
 
 
 def haar_random_mixed(dims, env_dim: int, seed) -> DensityMatrix:

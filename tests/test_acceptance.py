@@ -33,14 +33,13 @@ from negmono import (
     ket,
     pure_scren,
     run_campaign,
-    sample_state,
     scren,
     density,
     partial_trace,
     sweep,
     two_qubit_tangle_and_toa,
 )
-from negmono.harness import _BLOCK, _analyze_block, campaign_report_json
+from negmono.harness import _BLOCK, _analyze_block, campaign_report_json, sample_block
 from negmono.relations import evaluate_block
 from negmono.roof import optimize_roof
 
@@ -336,8 +335,8 @@ def test_negative_alpha_relations():
         # sample indices with their sorted SCREN and SCRENoA blocks
         for first in range(0, n_samples, _BLOCK):
             idx = range(first, min(first + _BLOCK, n_samples))
-            states = [sample_state(cfg, i) for i in idx]
-            yield (idx, *_analyze_block(states, roof, True, include_tails))
+            amps = sample_block(cfg, idx.start, idx.stop)
+            yield (idx, *_analyze_block(amps, cfg.dims, roof, True, include_tails))
 
     def at_grid(relation):
         return [(relation, alpha) for alpha in NEG_GRID]

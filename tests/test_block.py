@@ -7,6 +7,9 @@ functions give, and that a campaign report equals the one a per-sample
 loop folds, on sample counts that straddle block edges.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from negmono import (
     builtin_state,
     density,
     evaluate_relation,
+    harness,
     ket,
     partial_trace,
     pure_scren,
@@ -29,7 +33,6 @@ from negmono import (
     tensor,
 )
 from negmono.harness import (
-    _BLOCK,
     BaselineStats,
     CampaignReport,
     RelationStats,
@@ -37,12 +40,17 @@ from negmono.harness import (
     _analyze_block,
     _grid_for,
     campaign_report_json,
+    sample_block,
     vector_for,
 )
 from negmono.relations import SAT_TOL
 
 CAPPED_ROOF = RoofConfig(restarts=2, max_iters=10, seed=4)
 CUT2 = Bipartition.split(2, (0,))
+# the block size these tests pin: the campaigns below take 2 * 64 + 5
+# samples, which straddle two block edges, and the scalar paths they are
+# compared with stay quick
+BLOCK = 64
 
 
 # states with a pure 2x2 marginal, where the closed forms and the
@@ -57,9 +65,10 @@ PURE_MARGINALS = (
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 2, 2)])
 def test_block_analysis_equals_scalar_path(dims):
     config = CampaignConfig(dims=dims, samples=1, seed=31)
-    states = [sample_state(config, i) for i in range(_BLOCK + 3)]
+    states = [sample_state(config, i) for i in range(BLOCK + 3)]
     states += [psi for psi in PURE_MARGINALS if psi.dims == dims]
-    scren_block, screnoa_block = _analyze_block(states, CAPPED_ROOF, False, False)
+    amps = np.stack([psi.amplitudes for psi in states])
+    scren_block, screnoa_block = _analyze_block(amps, dims, CAPPED_ROOF, False, False)
     assert scren_block.values.shape == (len(states), len(dims) - 1)
     for b, psi in enumerate(states):
         assert scren_block.lhs[b] == pure_scren(psi, Bipartition.split(len(dims), (0,)))
@@ -121,9 +130,14 @@ def _per_sample_campaign(config: CampaignConfig) -> CampaignReport:
     return CampaignReport(config, list(stats.values()), baseline, violations)
 
 
+@pytest.fixture
+def block_of_64(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK", BLOCK)
+
+
 POSITIVE_ALPHA = CampaignConfig(
     dims=(2, 2, 2, 2),
-    samples=2 * _BLOCK + 5,
+    samples=2 * BLOCK + 5,
     seed=20260808,
     alphas=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
     relations=(
@@ -141,7 +155,7 @@ POSITIVE_ALPHA = CampaignConfig(
 # states, so this report orders violations across block edges
 NEGATIVE_ALPHA = CampaignConfig(
     dims=(2, 2, 2, 2),
-    samples=2 * _BLOCK + 5,
+    samples=2 * BLOCK + 5,
     seed=20260808,
     alphas=(-0.5, -1.0, -2.0),
     relations=(
@@ -155,11 +169,12 @@ NEGATIVE_ALPHA = CampaignConfig(
 
 
 @pytest.mark.parametrize("config", [POSITIVE_ALPHA, NEGATIVE_ALPHA], ids=["alpha-geq-0", "alpha-neg"])
+@pytest.mark.usefixtures("block_of_64")
 def test_campaign_report_equals_per_sample_fold(config):
     report = run_campaign(config)
     assert campaign_report_json(report) == campaign_report_json(_per_sample_campaign(config))
     if config is NEGATIVE_ALPHA:
-        blocks = {v.sample_index // _BLOCK for v in report.violations}
+        blocks = {v.sample_index // BLOCK for v in report.violations}
         assert len(blocks) > 1, blocks
         # some sample violates more than one key, so the order within a
         # sample is checked as well
@@ -175,8 +190,9 @@ def test_batched_tails_equal_per_row_tails(dims, sort_values):
     n = len(dims)
     config = CampaignConfig(dims=dims, samples=1, seed=37)
     states = [sample_state(config, i) for i in range(8)]
-    _, unsorted = _analyze_block(states, CAPPED_ROOF, False, False)
-    _, screnoa_block = _analyze_block(states, CAPPED_ROOF, sort_values, True)
+    amps = np.stack([psi.amplitudes for psi in states])
+    _, unsorted = _analyze_block(amps, dims, CAPPED_ROOF, False, False)
+    _, screnoa_block = _analyze_block(amps, dims, CAPPED_ROOF, sort_values, True)
     for b, psi in enumerate(states):
         order = np.arange(n - 1)
         if sort_values:
@@ -187,3 +203,72 @@ def test_batched_tails_equal_per_row_tails(dims, sort_values):
             cut = CUT2 if len(keep) == 2 else Bipartition.split(len(keep), (0,))
             expected = screnoa(partial_trace(rho, keep), cut, CAPPED_ROOF).value
             assert screnoa_block.tail_values[b, i] == expected
+
+
+def test_sample_block_rows_equal_sample_state():
+    config = CampaignConfig(dims=(2, 2, 2, 2, 2), samples=1, seed=41)
+    edge = harness._BLOCK
+    block = np.concatenate([sample_block(config, edge - 3, edge), sample_block(config, edge, edge + 4)])
+    assert np.array_equal(block, sample_block(config, edge - 3, edge + 4))
+    for row, i in zip(block, range(edge - 3, edge + 4)):
+        assert row.tobytes() == sample_state(config, i).amplitudes.tobytes()
+    assert sample_block(config, 5, 5).shape == (0, 32)
+
+
+# the acceptance relations and alphas on qubits: every value comes from
+# the closed forms and the pure-state formula, none from the roof
+QUBIT_CAMPAIGNS = {
+    name: CampaignConfig(dims=dims, samples=samples, seed=seed, alphas=POSITIVE_ALPHA.alphas,
+                         relations=POSITIVE_ALPHA.relations)
+    for name, dims, samples, seed in (("4q", (2, 2, 2, 2), 300, 14), ("5q", (2, 2, 2, 2, 2), 40, 15))
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("4q", "12bebe9bc139d93b6f95abdf53051834bd10cbe31160ccf7370ee01faf8fbfd3"),
+    ("5q", "62d11d9a4959b0bbc8cba9de0af7e646ac7b6bc190d26dae07f08933b3bb5b77"),
+])
+def test_qubit_campaign_digest(name, digest):
+    """Recorded when blocks were 64 states of projector stacks, these pin
+    the amplitude-stack blocks to the same bits.  Like every LAPACK-backed
+    value they are specific to the numpy build (numpy 2.4,
+    scipy-openblas 0.3.31 on x86_64)."""
+    text = campaign_report_json(run_campaign(QUBIT_CAMPAIGNS[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+BLOCK_SIZE_CAMPAIGNS = {
+    "4q": QUBIT_CAMPAIGNS["4q"],
+    # the collective tails group their rows by keep within a block
+    "collective": CampaignConfig(dims=(2, 2, 2, 2), samples=12, seed=13, alphas=(-0.5, -1.0),
+                                 relations=(RelationId.MONO_LADDER_NEG_COLLECTIVE,),
+                                 roof=RoofConfig(restarts=2, max_iters=10, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SIZE_CAMPAIGNS))
+def test_report_does_not_depend_on_block_size(monkeypatch, name):
+    config = BLOCK_SIZE_CAMPAIGNS[name]
+    texts = set()
+    for size in (1, 7, 64, 256):
+        monkeypatch.setattr(harness, "_BLOCK", size)
+        texts.add(campaign_report_json(run_campaign(config)))
+    assert len(texts) == 1
+
+
+def test_campaign_memory_does_not_grow_with_samples():
+    # a block holds amplitudes and one marginal's products, never the
+    # projector stack, and the tightness values are kept as a running sum
+    peaks = []
+    for samples in (256, 1024):
+        config = CampaignConfig(dims=(2, 2, 2, 2, 2), samples=samples, seed=3, alphas=(0.5, 1.0, 2.0),
+                                relations=(RelationId.MONO_HAMMING, RelationId.MONO_HAMMING_BASE,
+                                           RelationId.POLY_HAMMING))
+        tracemalloc.start()
+        try:
+            run_campaign(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2_000_000, peaks
+    assert abs(peaks[1] - peaks[0]) < 500_000, peaks

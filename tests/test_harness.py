@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from negmono import (
 from negmono.cli import main as cli_main
 from negmono.harness import (
     REPORT_CSV_HEADER,
+    RelationStats,
+    _ExactSum,
     campaign_config_from_dict,
     campaign_report_json,
     relation_report_dict,
@@ -128,6 +131,56 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             sweep(builtin_state("ghz3"), RelationId.MONO_HAMMING, (), "auto")
+
+    # lhs < 1 gives lhs^inf = 0: a row that says nothing about the relation
+    @pytest.mark.parametrize("alphas", [(math.inf,), (1.0, math.inf), (-math.inf,), (math.nan,)])
+    def test_non_finite_grid_rejected(self, alphas):
+        relation = RelationId.MONO_HAMMING_NEG if alphas == (-math.inf,) else RelationId.MONO_HAMMING
+        with pytest.raises(ValueError, match="not a finite number"):
+            sweep(builtin_state("bell"), relation, alphas, "auto")
+
+
+class TestExactSum:
+    """The running tightness sum of a campaign keeps no per-sample values,
+    yet its mean is bit for bit ``math.fsum`` of all of them."""
+
+    @staticmethod
+    def cancelling(rng, n):
+        # huge terms that cancel in pairs across chunks, around small ones
+        big = rng.choice([1e16, 1e100, 2.0**70, 3e-5], size=n) * rng.standard_normal(n)
+        values = np.concatenate([big, -big[::-1], rng.standard_normal(n) * 1e-20,
+                                 rng.standard_normal(n)])
+        rng.shuffle(values)
+        return values.tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_fsum_of_every_value(self, seed):
+        rng = np.random.default_rng(seed)
+        values = self.cancelling(rng, 300)
+        total = _ExactSum()
+        cuts = np.sort(rng.integers(0, len(values), size=12)).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+            total.extend(values[lo:hi])
+            seen = values[:hi]
+            assert math.fsum(total.partials) == math.fsum(seen)
+            assert total.count == len(seen)
+        # the partials stay few, however many values went in
+        assert len(total.partials) <= 3
+
+    def test_append_and_exact_cancellation(self):
+        total = _ExactSum()
+        for value in (1e100, 1.0, -1e100, 1e-100, -1.0):
+            total.append(value)
+        assert math.fsum(total.partials) == 1e-100 == math.fsum([1e100, 1.0, -1e100, 1e-100, -1.0])
+        total.append(-1e-100)
+        assert total.partials == [] and total.count == 6
+
+    def test_mean_tightness_delta(self):
+        stats = RelationStats(RelationId.MONO_HAMMING, 1.0)
+        assert stats.mean_tightness_delta is None
+        values = self.cancelling(np.random.default_rng(7), 100)
+        stats._tightness_values.extend(values)
+        assert stats.mean_tightness_delta == math.fsum(values) / len(values)
 
 
 class TestCampaign:
@@ -420,6 +473,43 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == expect
         assert "note: input normalized (factor 1.41421356237e-200)" in captured.err
+
+    @pytest.mark.parametrize("alphas", ["inf", "1e400", "1,inf"])
+    def test_sweep_non_finite_alpha_exit_one(self, capsys, alphas):
+        code = cli_main(["sweep", "bell", "--relation", "mono-hamming", "--alphas", alphas])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
+
+    # argparse takes "-0.5,-1" or "-1e-1" for an option unless it is
+    # attached to its flag, and "-1" only because it reads as a number
+    @pytest.mark.parametrize("form", [["--alphas", "-0.5,-1"], ["--alphas=-0.5,-1"],
+                                      ["--alpha", "-0.5,-1"]], ids=["spaced", "attached", "alias"])
+    def test_sweep_negative_alphas(self, capsys, form):
+        code = cli_main(["sweep", "w4", "--relation", "mono-hamming-neg", *form])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 0
+        assert [row.split(",")[1] for row in rows] == ["-0.5", "-1"]
+
+    @pytest.mark.parametrize("text, alpha", [("-1e-1", "-0.10000000000000001"), ("-1", "-1")])
+    def test_sweep_negative_alpha_forms(self, capsys, text, alpha):
+        assert cli_main(["sweep", "w4", "--relation", "mono-hamming-neg", "--alphas", text]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == alpha
+
+    def test_sweep_negative_infinite_alpha_exit_one(self, capsys):
+        assert cli_main(["sweep", "w4", "--relation", "mono-hamming-neg", "--alphas", "-inf"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", [["--alphas", "-0.5,-1"], ["--alphas=-0.5,-1"]],
+                             ids=["spaced", "attached"])
+    def test_campaign_negative_alphas(self, capsys, form):
+        code = cli_main(["campaign", "--dims", "2,2,2,2", "--samples", "3",
+                         "--relations", "mono-hamming-neg", *form])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["config"]["alphas"] == [-0.5, -1.0]
+        assert [row["alpha"] for row in report["relations"]] == [-0.5, -1.0]
 
     def test_sweep_empty_alpha_grid_exit_one(self, capsys):
         code = cli_main(["sweep", "bell", "--relation", "mono-hamming", "--alphas", ","])

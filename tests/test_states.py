@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -19,6 +20,8 @@ from negmono import (
     write_state_json,
 )
 from negmono.harness import builtin_state
+from negmono.states import (NORM_ATOL, check_density_block, check_pure_block, haar_amplitudes,
+                            marginal_block)
 
 
 def bell():
@@ -268,6 +271,91 @@ class TestPartialTrace:
             partial_trace(density(bell()), (2,))
 
 
+def _same_bits(a, b) -> bool:
+    # equal bit patterns, so the sign of every zero counts as well
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestMarginalBlock:
+    """Reduced states straight from amplitudes equal, bit for bit, the
+    partial trace of the projector, for every keep a campaign takes: each
+    marginal (0, j) and each collective tail (0, ...)."""
+
+    # a factor of 8 or more, last or in the middle, is summed as long as
+    # any other: np.trace adds in index order from +0 on every axis
+    DIMS = [(2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 3, 2), (2, 9, 2),
+            (9, 2, 2), (2, 17, 2), (2, 2, 8), (2, 2, 2, 9)]
+
+    @staticmethod
+    def keeps(n):
+        tails = [(0,) + rest for r in range(2, n) for rest in itertools.combinations(range(1, n), r)]
+        return [(0, j) for j in range(1, n)] + tails
+
+    def check(self, states):
+        dims = states[0].dims
+        amps = np.stack([psi.amplitudes for psi in states])
+        for keep in self.keeps(len(dims)):
+            block = marginal_block(amps, dims, keep)
+            for psi, got in zip(states, block):
+                assert _same_bits(got, partial_trace(density(psi), keep).matrix), (dims, keep)
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_haar_rows(self, dims):
+        self.check([haar_random_pure(dims, (*dims, i)) for i in range(3)])
+
+    @pytest.mark.parametrize("name", ["ghz4", "w3", "product:2,2,2", "w5", "aharonov"])
+    def test_exact_zeros(self, name):
+        self.check([builtin_state(name)])
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2)], ids=str)
+    def test_signed_zeros(self, dims):
+        # entries from {0, +-1, +-i}: many products are zeros whose sign
+        # follows the order of each sum and the +0 it starts from
+        units = np.array([0, 1, -1, 1j, -1j])
+        rng = np.random.default_rng(8)
+        amps = units[rng.integers(0, 5, size=(12, int(np.prod(dims))))]
+        amps[:, 0] = 1
+        self.check([ket(a, dims) for a in amps])
+
+    def test_empty_stack(self):
+        for keep, d in (((0, 1), 4), ((0, 2, 3), 8)):
+            assert marginal_block(np.empty((0, 16), dtype=complex), (2, 2, 2, 2), keep).shape == (0, d, d)
+
+
+class TestPureBlockCheck:
+    """The amplitude check stands in for the projector check of a campaign
+    block: every row it accepts gives an outer product that
+    check_density_block accepts."""
+
+    @staticmethod
+    def rows(seed, d, count=64):
+        return haar_amplitudes(d, [(seed, i) for i in range(count)])
+
+    @pytest.mark.parametrize("d", [4, 16, 32, 27])
+    def test_accepted_rows_give_density_matrices(self, d):
+        amps = self.rows(1, d)
+        # squared norms pushed out to just inside the bound, both ways
+        scale = np.sqrt(1.0 + np.linspace(-0.99, 0.99, len(amps)) * NORM_ATOL)
+        for block in (amps, amps * scale[:, None]):
+            check_pure_block(block)
+            check_density_block(block[:, :, None] * block.conj()[:, None, :])
+
+    def test_norm_just_outside_rejected(self):
+        amps = self.rows(2, 16, 4)
+        for off in (1e-9, -1e-9, 1.01 * NORM_ATOL):
+            bad = amps.copy()
+            bad[2] *= np.sqrt(1.0 + off)
+            with pytest.raises(ValueError, match="not normalized"):
+                check_pure_block(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        amps = self.rows(3, 16, 4)
+        amps[1, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_pure_block(amps)
+
+
 class TestPartialTranspose:
     def test_bell_eigenvalues(self):
         pt = partial_transpose(density(bell()), (1,))
@@ -347,6 +435,14 @@ class TestHaarSampling:
             for i in range(3000)
         ]
         assert abs(np.mean(sample) - expected) < 0.02
+
+    def test_haar_amplitudes_rows_are_one_row_draws(self):
+        seeds = [np.random.SeedSequence(5, spawn_key=(i,)) for i in range(5)] + [11]
+        amps = haar_amplitudes(12, seeds)
+        assert amps.shape == (6, 12)
+        for seed, row in zip(seeds, amps):
+            assert _same_bits(row, haar_random_pure((2, 6), seed).amplitudes)
+        assert haar_amplitudes(12, []).shape == (0, 12)
 
     def test_mixed_sampler_rank_and_validity(self):
         rho = haar_random_mixed((2, 2), 2, 5)
