@@ -37,12 +37,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# scren, screnoa, pure_scren and two_qubit_tangle_and_toa are the
-# one-state forms of squared_roof_block, and haar_random_pure, density and
-# partial_trace those of the block state functions used here; they stay
-# bound in this module, where the benchmark's tracer wraps each layer
+# scren, screnoa, pure_scren and two_qubit_tangle_and_toa are the one-state
+# forms of squared_roof_block, haar_random_pure that of haar_amplitudes;
+# density and partial_trace have no library caller left.  All stay bound
+# here, where the benchmark's tracer wraps each layer
 from .measures import (  # noqa: F401
-    Bipartition,
     pure_negativity_block,
     pure_scren,
     scren,
@@ -60,13 +59,14 @@ from .relations import (
     RelationReport,
     REGISTRY,
     ReportColumns,
+    check_alpha,
     evaluate_block,
     evaluate_relation,
     row_sum,
 )
 from .roof import Direction, RoofConfig
-from .states import (PureState, check_density_block, check_pure_block, haar_amplitudes, ket,
-                     marginal_block, validate_dims)
+from .states import (Bipartition, PureState, check_density_block, check_pure_block,
+                     cut_matrices, haar_amplitudes, ket, marginal_block, validate_dims)
 
 # states per block of run_campaign: no projector stack is built, so a
 # block's largest array at five qubits is one marginal's 512 kB of
@@ -169,7 +169,7 @@ def _analyze_block(amps: np.ndarray, dims: tuple[int, ...], roof_config: RoofCon
         raise ValueError("analysis needs at least two tensor factors")
     rows = len(amps)
     check_pure_block(amps)
-    neg = pure_negativity_block(amps.reshape(rows, dims[0], -1))
+    neg = pure_negativity_block(cut_matrices(amps, dims, Bipartition.split(n, (0,))))
     lhs = neg * neg
 
     cut = Bipartition.split(2, (0,))
@@ -226,20 +226,13 @@ def vector_for(result: AnalysisResult, relation: RelationId) -> MeasureVector:
 def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
           sort_values: bool = False, roof_config: RoofConfig | None = None) -> list[RelationReport]:
     """One relation over an alpha grid on a single state."""
-    spec = REGISTRY[relation]
     if len(alphas) == 0:
         raise ValueError(f"the alpha grid for {relation.value} is empty")
-    for alpha in alphas:
-        if not math.isfinite(float(alpha)):
-            raise ValueError(f"alpha = {alpha} is not a finite number")
-        if not spec.alpha_range.contains(float(alpha)):
-            raise ValueError(
-                f"alpha = {alpha} outside the range of {relation.value} ({spec.alpha_range.value})"
-            )
+    alphas = [check_alpha(alpha, relation) for alpha in alphas]
     needs_tails = relation is RelationId.MONO_LADDER_NEG_COLLECTIVE
     result = analyze(psi, roof_config, sort_values=sort_values, include_tails=needs_tails)
     mv = vector_for(result, relation)
-    return [evaluate_relation(mv, relation, float(a), k_policy) for a in alphas]
+    return [evaluate_relation(mv, relation, a, k_policy) for a in alphas]
 
 
 def _is_int(value) -> bool:

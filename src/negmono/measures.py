@@ -16,13 +16,14 @@ one batched SVD shared by both directions, and every (row, direction) of
 the other rows runs in one :func:`~negmono.roof.optimize_roof_block` call,
 MIN and MAX mixed, whose searches advance together as one array program.
 :func:`scren` and :func:`screnoa` are its one-matrix case.
+A cut is a :class:`~negmono.states.Bipartition`, imported from
+:mod:`negmono.states` and so still importable from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,8 @@ import numpy as np
 # optimize_roof is the one-matrix form of optimize_roof_block; it stays
 # bound here because the benchmark's tracer wraps this binding
 from .roof import Direction, RoofConfig, optimize_roof, optimize_roof_block  # noqa: F401
-from .states import DensityMatrix, PureState, float_pow, partial_transpose, trace_norm
+from .states import (Bipartition, DensityMatrix, PureState, cut_matrices, float_pow,
+                     partial_transpose, trace_norm)
 
 _NEG_CLAMP = 1e-12
 
@@ -43,38 +45,6 @@ _YY = np.array(
     ],
     dtype=complex,
 )
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A cut of the tensor factors into a nonempty A side and its complement."""
-
-    a_side: tuple[int, ...]
-    b_side: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_side", tuple(sorted(int(i) for i in self.a_side)))
-        object.__setattr__(self, "b_side", tuple(sorted(int(i) for i in self.b_side)))
-
-    @classmethod
-    def split(cls, n_factors: int, a_side) -> "Bipartition":
-        """A-side indices against the complement within ``n_factors`` factors."""
-        a = tuple(sorted({int(i) for i in a_side}))
-        b = tuple(i for i in range(n_factors) if i not in a)
-        cut = cls(a, b)
-        cut.validate(n_factors)
-        return cut
-
-    def validate(self, n_factors: int) -> None:
-        a, b = set(self.a_side), set(self.b_side)
-        if not a or not b:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if a & b:
-            raise ValueError(f"bipartition sides overlap: {sorted(a & b)}")
-        if a | b != set(range(n_factors)):
-            raise ValueError(
-                f"bipartition {sorted(a)}|{sorted(b)} does not cover all {n_factors} factors"
-            )
 
 
 class Method(Enum):
@@ -107,18 +77,9 @@ def negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     return float(_clamp_nonneg(trace_norm(partial_transpose(rho, cut.b_side)) - 1.0))
 
 
-def _cut_matrices(amps: np.ndarray, dims: tuple[int, ...], cut: Bipartition) -> np.ndarray:
-    """Amplitude vectors ``(..., prod(dims))`` as matrices ``(..., d_A, d_B)``
-    across a cut already checked against ``dims``."""
-    lead = amps.shape[:-1]
-    axes = tuple(range(len(lead))) + tuple(len(lead) + i for i in cut.a_side + cut.b_side)
-    t = amps.reshape(lead + tuple(dims)).transpose(axes)
-    return t.reshape(lead + (prod(dims[i] for i in cut.a_side), prod(dims[i] for i in cut.b_side)))
-
-
 def _cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
     cut.validate(psi.n_factors)
-    return _cut_matrices(psi.amplitudes, psi.dims, cut)
+    return cut_matrices(psi.amplitudes, psi.dims, cut)
 
 
 def pure_tangle(psi: PureState, cut: Bipartition) -> float:
@@ -219,7 +180,7 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
     pure = w[:, -1] >= 1.0 - 1e-10
     # the 1-D norm of each vector: an axis= norm sums in another order
     tops = np.array([u[b, :, -1] / np.linalg.norm(u[b, :, -1]) for b in np.flatnonzero(pure)])
-    neg = pure_negativity_block(_cut_matrices(tops.reshape(-1, mats.shape[-1]), dims, cut))
+    neg = pure_negativity_block(cut_matrices(tops.reshape(-1, mats.shape[-1]), dims, cut))
     values = np.zeros(rows)
     values[pure] = neg * neg
     cols = tuple(MeasureColumn(values.copy(), [Method.PURE_FORMULA if p else Method.ROOF_OPTIMIZER

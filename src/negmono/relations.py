@@ -57,7 +57,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import float_pow
+from .states import float_pow, require_finite
 
 COND_TOL = 1e-12
 SAT_TOL = 1e-9
@@ -83,8 +83,8 @@ class MeasureBlock:
     ``values`` of shape (rows, m), ``lhs`` (rows,) and, for the
     collective-tail relation, ``tail_values`` (rows, m - 1).
 
-    Checked and clamped as :class:`MeasureVector` is; a MeasureVector is
-    the block of one row.
+    Checked (finite, nonnegative) and clamped as :class:`MeasureVector`
+    is; a MeasureVector is the block of one row.
     """
 
     values: np.ndarray
@@ -95,6 +95,8 @@ class MeasureBlock:
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, ndmin=2)
         lhs = np.array(self.lhs, dtype=float, ndmin=1)
+        require_finite(vals, "values")
+        require_finite(lhs, "lhs")
         if vals.shape[1] == 0:
             raise ValueError("MeasureVector needs at least one subsystem value")
         if (vals < -COND_TOL).any() or (lhs < -COND_TOL).any():
@@ -102,12 +104,13 @@ class MeasureBlock:
         object.__setattr__(self, "values", _clamp(vals))
         object.__setattr__(self, "lhs", _clamp(lhs))
         if self.tail_values is not None:
-            tails = _clamp(np.array(self.tail_values, dtype=float, ndmin=2))
+            tails = np.array(self.tail_values, dtype=float, ndmin=2)
+            require_finite(tails, "tail_values")
             if tails.shape[1] != vals.shape[1] - 1:
                 raise ValueError(
                     f"expected {vals.shape[1] - 1} tail values, got {tails.shape[1]}"
                 )
-            object.__setattr__(self, "tail_values", tails)
+            object.__setattr__(self, "tail_values", _clamp(tails))
 
     def row(self, i: int) -> "MeasureVector":
         tails = None if self.tail_values is None else tuple(self.tail_values[i].tolist())
@@ -231,6 +234,18 @@ REGISTRY: dict[RelationId, RelationSpec] = {
 }
 
 
+def check_alpha(alpha, relation: RelationId | None = None) -> float:
+    """``alpha`` as a float, checked finite and, given a relation, in its
+    range: the one alpha check of every relation entry point."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha = {alpha} is not a finite number")
+    if relation is not None and not REGISTRY[relation].alpha_range.contains(alpha):
+        rng = REGISTRY[relation].alpha_range.value
+        raise ValueError(f"alpha = {alpha} outside the range of {relation.value} ({rng})")
+    return alpha
+
+
 def hamming_weight(j: int) -> int:
     """Number of ones in the binary expansion of ``j``."""
     if j < 0:
@@ -240,7 +255,8 @@ def hamming_weight(j: int) -> int:
 
 def weight_factor(alpha: float, k):
     """``((1 + k)^alpha - 1) / k^alpha`` for k in (0, 1]; elementwise over
-    an array of k."""
+    an array of k.  ``alpha`` must be finite."""
+    alpha = check_alpha(alpha)
     k = np.asarray(k, dtype=float)
     if not ((0.0 < k) & (k <= 1.0)).all():
         raise ValueError(f"k must lie in (0, 1], got {k}")
@@ -384,21 +400,22 @@ def bound_power_j(values, alpha: float, k: float) -> float | None:
 
 def bound_kim(values, alpha: float, variant: str) -> float | None:
     """Baseline bound ``sum_j alpha^{exp(j)} v_j^alpha``; variant is
-    ``"hamming"`` or ``"ladder"``.  Stated only for alpha >= 0."""
+    ``"hamming"`` or ``"ladder"``.  Stated only for finite alpha >= 0."""
+    alpha = check_alpha(alpha)
     if alpha < 0.0:
         raise ValueError("baseline bounds are stated for alpha >= 0 only")
     if variant not in ("hamming", "ladder"):
         raise ValueError(f"unknown baseline variant {variant!r}")
-    alpha = float(alpha)
     return _bound_row(values, alpha, alpha, variant)
 
 
 def bound_average(values, alpha: float) -> float | None:
     """Arithmetic mean of ``v_j^alpha`` for alpha < 0; None if any value
     is numerically zero (the hypothesis requires all measures nonzero)."""
+    alpha = check_alpha(alpha)
     if alpha >= 0.0:
         raise ValueError("the average bound applies to alpha < 0 only")
-    return _bound_row(values, float(alpha), None, "average")
+    return _bound_row(values, alpha, None, "average")
 
 
 @dataclass(frozen=True)
@@ -523,16 +540,12 @@ def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportCol
     unsatisfiable hypothesis yields a not-evaluated row, not an error.
     """
     explicit_k = _explicit_k(k_policy)
-    keys = [(relation, float(alpha)) for relation, alpha in keys]
-    for relation, alpha in keys:
+    keys = [(relation, check_alpha(alpha, relation)) for relation, alpha in keys]
+    for relation, _ in keys:
         spec = REGISTRY[relation]
         if block.kind is not spec.kind:
             raise ValueError(
                 f"{relation.value} applies to {spec.kind.value} vectors, got {block.kind.value}"
-            )
-        if not spec.alpha_range.contains(alpha):
-            raise ValueError(
-                f"alpha = {alpha} outside the range of {relation.value} ({spec.alpha_range.value})"
             )
         if spec.condition is ConditionMode.COLLECTIVE_TAIL and block.tail_values is None:
             raise ValueError("the collective-tail relation needs MeasureVector.tail_values")

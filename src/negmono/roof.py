@@ -29,8 +29,8 @@ the incumbent) start at once as concurrent slots; a result that the
 sequential loop would not have reached is discarded.  2x2-by-2x2 cuts
 run the exact pair search one restart at a time.
 :func:`optimize_roof_block` drives a stack of density matrices that share
-dims and cut, all on one ``_Objective`` built from the dims and the cut,
-and :func:`optimize_roof` is the block of one.
+dims and cut, all on one ``_Objective`` (index map: ``cut_matrices`` of
+the basis indices), and :func:`optimize_roof` is the block of one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from math import prod
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import Bipartition, DensityMatrix, PureState, cut_matrices
 
 RANK_ATOL = 1e-12
 ISOMETRY_ATOL = 1e-10
@@ -203,13 +203,11 @@ class _Objective:
     """
 
     def __init__(self, dims: tuple[int, ...], a_side, b_side):
-        index = np.arange(prod(dims)).reshape(dims).transpose(tuple(a_side) + tuple(b_side))
-        self.perm = index.reshape(prod(dims[i] for i in a_side), -1)
+        self.perm = cut_matrices(np.arange(prod(dims)), dims, Bipartition(a_side, b_side))
         if self.perm.shape[1] == 2 and self.perm.shape[0] != 2:
             self.perm = self.perm.T  # orient the 2-dim side first for the Gram fast path
         self.gram = self.perm.shape[0] == 2
         self.det_mode = self.perm.shape == (2, 2)
-        self.perm_flat = tuple(int(i) for i in self.perm.reshape(-1))
         # state-space indices of the two rows of the reshaped member, for
         # the Gram fast path
         self.half_rows = tuple(np.ascontiguousarray(half) for half in self.perm[:2])
@@ -314,7 +312,7 @@ def _pair_exact_search(obj: _Objective, base: np.ndarray, V: np.ndarray,
     minimize = cfg.direction is Direction.MIN
     sign = 1.0 if minimize else -1.0
     m = V.shape[0]
-    p0, p1, p2, p3 = obj.perm_flat
+    p0, p1, p2, p3 = obj.perm.ravel().tolist()
 
     def det_of(row) -> complex:
         return complex(row[p0] * row[p3] - row[p1] * row[p2])
@@ -759,7 +757,7 @@ class _Program:
         self._arrays(V, rows)
 
 
-def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
+def optimize_roof_block(mats, dims, cut: Bipartition, configs) -> list[RoofResult]:
     """:func:`optimize_roof` of every checked density matrix in a stack
     ``(rows, d, d)`` over one ``dims`` and one ``cut``, row ``b`` under
     ``configs[b]``; one :class:`RoofResult` per row, in order.
@@ -800,10 +798,10 @@ def optimize_roof_block(mats, dims, cut, configs) -> list[RoofResult]:
     return [search.result() for search in searches]
 
 
-def optimize_roof(rho: DensityMatrix, cut, config: RoofConfig | None = None) -> RoofResult:
+def optimize_roof(rho: DensityMatrix, cut: Bipartition, config: RoofConfig | None = None) -> RoofResult:
     """Optimize the mean pure-state negativity over decompositions of ``rho``.
 
-    ``cut`` is a :class:`negmono.measures.Bipartition` of ``rho.dims``.
+    ``cut`` is a :class:`negmono.states.Bipartition` of ``rho.dims``.
     The restart budget is split between independent starting points and
     perturbation hops around the incumbent: restart 0 starts from the
     eigendecomposition itself (so the returned optimum can never be worse

@@ -3,6 +3,8 @@
 Every state carries an explicit tuple of local dimensions.  Subsystem 0 is
 the leftmost tensor factor and amplitudes are laid out row-major, so the
 basis index of ``|a b c>`` on dims ``(dA, dB, dC)`` is ``(a*dB + b)*dC + c``.
+This module owns that layout and the cut type: :func:`cut_matrices` of a
+:class:`Bipartition` is the one reshape of amplitudes across a cut.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
 """
@@ -51,7 +53,8 @@ def float_pow(x, y) -> np.ndarray:
     return np.asarray(_PY_POW(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite entry of ``values``."""
     if not np.isfinite(values).all():
         raise ValueError(f"{what} has a non-finite entry {values[~np.isfinite(values)][0]}")
 
@@ -64,7 +67,7 @@ def check_pure_block(amps: np.ndarray) -> None:
     A row that passes gives a projector a a† that passes
     :func:`check_density_block`: it is Hermitian, its trace is the squared
     norm, and its eigenvalues are that norm and zeros, up to roundoff."""
-    _require_finite(amps, "state vector")
+    require_finite(amps, "state vector")
     off = np.abs((amps.real * amps.real + amps.imag * amps.imag).sum(axis=-1) - 1.0)
     if not (off <= NORM_ATOL).all():
         raise ValueError(f"state vector is not normalized: |norm^2 - 1| = {off.max():.3e}")
@@ -75,7 +78,7 @@ def check_density_block(mats: np.ndarray) -> None:
     1e-12, unit trace within 1e-12, no eigenvalue below -1e-10) on a
     matrix or on every matrix of a stack ``(..., d, d)``; the first
     failure raises."""
-    _require_finite(mats, "matrix")
+    require_finite(mats, "matrix")
     herm = mats.conj().swapaxes(-1, -2)
     asym = np.abs(mats - herm).max(axis=(-2, -1))
     if not (asym <= HERM_ATOL).all():
@@ -173,7 +176,7 @@ def ket(amplitudes, dims) -> PureState:
     """
     dims = validate_dims(dims)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    _require_finite(amps, "state vector")
+    require_finite(amps, "state vector")
     scale, norm = _norm(amps)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
@@ -199,6 +202,49 @@ def _check_subsystems(indices, n: int, *, allow_empty: bool = False) -> tuple[in
     return tuple(idx)
 
 
+@dataclass(frozen=True)
+class Bipartition:
+    """A cut of the tensor factors into a nonempty A side and its complement."""
+
+    a_side: tuple[int, ...]
+    b_side: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_side", tuple(sorted(int(i) for i in self.a_side)))
+        object.__setattr__(self, "b_side", tuple(sorted(int(i) for i in self.b_side)))
+
+    @classmethod
+    def split(cls, n_factors: int, a_side) -> "Bipartition":
+        """A-side indices against the complement within ``n_factors`` factors."""
+        a = tuple(sorted({int(i) for i in a_side}))
+        b = tuple(i for i in range(n_factors) if i not in a)
+        cut = cls(a, b)
+        cut.validate(n_factors)
+        return cut
+
+    def validate(self, n_factors: int) -> None:
+        a, b = set(self.a_side), set(self.b_side)
+        if not a or not b:
+            raise ValueError("both sides of a bipartition must be nonempty")
+        if a & b:
+            raise ValueError(f"bipartition sides overlap: {sorted(a & b)}")
+        if a | b != set(range(n_factors)):
+            raise ValueError(
+                f"bipartition {sorted(a)}|{sorted(b)} does not cover all {n_factors} factors"
+            )
+
+
+def cut_matrices(amps: np.ndarray, dims: tuple[int, ...], cut: Bipartition) -> np.ndarray:
+    """Amplitude vectors ``(..., prod(dims))`` as matrices ``(..., d_A, d_B)``
+    across a cut already checked against ``dims``: row and column run
+    row-major over the A and the B factors, each side in index order.
+    Applied to ``np.arange(prod(dims))`` it gives the index map of the cut."""
+    lead = amps.shape[:-1]
+    axes = tuple(range(len(lead))) + tuple(len(lead) + i for i in cut.a_side + cut.b_side)
+    t = amps.reshape(lead + tuple(dims)).transpose(axes)
+    return t.reshape(lead + (prod(dims[i] for i in cut.a_side), prod(dims[i] for i in cut.b_side)))
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every factor not listed in ``keep``.
 
@@ -206,23 +252,13 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     preserves the trace exactly up to roundoff.
     """
     keep = _check_subsystems(keep, rho.n_factors)
-    return DensityMatrix(partial_trace_block(rho.matrix, rho.dims, keep),
-                         tuple(rho.dims[i] for i in keep))
-
-
-def partial_trace_block(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
-    """:func:`partial_trace` of every matrix in a stack ``(..., d, d)`` over
-    ``dims``, unvalidated: one ``np.trace`` per dropped factor, on axes
-    shifted past the stack's, so each result is bit for bit the one a
-    single matrix gets."""
-    off = mats.ndim - 2
-    cur = list(dims)
-    t = mats.reshape(mats.shape[:off] + tuple(dims) * 2)
-    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=off + i, axis2=off + i + len(cur))
+    cur = list(rho.dims)
+    t = rho.matrix.reshape(rho.dims * 2)
+    for i in sorted(set(range(len(cur))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + len(cur))
         del cur[i]
     d = prod(cur)
-    return t.reshape(mats.shape[:off] + (d, d))
+    return DensityMatrix(t.reshape(d, d), tuple(cur))
 
 
 def marginal_block(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
@@ -233,13 +269,10 @@ def marginal_block(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     Each entry sums the products a_i conj(a_j) that the projector holds
     over the dropped factors, the last one innermost, each sum adding in
     index order from +0 as ``np.trace`` does: so every result is bit for
-    bit :func:`partial_trace_block` of the projector, signed zeros too."""
-    rows = amps.shape[0]
+    bit :func:`partial_trace` of the projector, signed zeros too."""
     drop = [i for i in range(len(dims)) if i not in keep]
-    d_keep = prod(dims[i] for i in keep)
-    rest = prod(dims[i] for i in drop)
-    a = np.moveaxis(amps.reshape((rows,) + tuple(dims)), [1 + i for i in keep],
-                    range(1, 1 + len(keep))).reshape(rows, d_keep, rest)
+    a = cut_matrices(amps, dims, Bipartition(keep, drop))
+    rows, d_keep, rest = a.shape
     t = a[:, :, None, :] * a.conj()[:, None, :, :]
     for size in reversed([dims[i] for i in drop]):
         rest //= size
@@ -321,10 +354,10 @@ def haar_random_pure(dims, seed) -> PureState:
 
 def haar_random_mixed(dims, env_dim: int, seed) -> DensityMatrix:
     """Induced random mixed state: Haar pure state on ``dims + (env_dim,)``,
-    environment traced out.  ``env_dim`` bounds the rank of the result."""
+    environment traced out by :func:`marginal_block`; ``env_dim`` bounds its rank."""
     dims = validate_dims(dims)
     psi = haar_random_pure(dims + (int(env_dim),), seed)
-    return partial_trace(density(psi), range(len(dims)))
+    return DensityMatrix(marginal_block(psi.amplitudes[None], psi.dims, range(len(dims)))[0], dims)
 
 
 def state_to_json_dict(psi: PureState) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from negmono import (
     weight_factor,
 )
 from negmono.harness import relation_reports_to_json
-from negmono.relations import REGISTRY
+from negmono.relations import REGISTRY, MeasureBlock
 
 
 def scren_vec(values, lhs, tails=None):
@@ -220,6 +221,58 @@ class TestBounds:
             assert abs(bound_power_j(vals, 1.0, k) - plain) < 1e-12
             assert abs(bound_kim(vals, 1.0, "hamming") - plain) < 1e-12
             assert abs(bound_kim(vals, 1.0, "ladder") - plain) < 1e-12
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity is rejected where it enters: in a measure
+    vector or block when it is built, in alpha at every relation entry
+    point."""
+
+    GOOD = {"values": (0.5, 0.25), "lhs": 1.0, "tail_values": (0.25,)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["values", "lhs", "tail_values"])
+    def test_measure_vector_rejects(self, field, bad):
+        fields = dict(self.GOOD)
+        fields[field] = bad if field == "lhs" else fields[field][:-1] + (bad,)
+        with pytest.raises(ValueError, match=f"{field} has a non-finite entry"):
+            MeasureVector(fields["values"], MeasureKind.SCRENOA, fields["lhs"],
+                          fields["tail_values"])
+
+    @pytest.mark.parametrize("field", ["values", "lhs", "tail_values"])
+    def test_measure_block_rejects_one_bad_row(self, field):
+        fields = {"values": np.full((3, 2), 0.5), "lhs": np.ones(3),
+                  "tail_values": np.full((3, 1), 0.5)}
+        fields[field][1] = math.nan
+        with pytest.raises(ValueError, match=f"{field} has a non-finite entry"):
+            MeasureBlock(fields["values"], MeasureKind.SCRENOA, fields["lhs"],
+                         fields["tail_values"])
+
+    @pytest.mark.parametrize("relation, alpha", [
+        (RelationId.MONO_HAMMING, math.inf),
+        (RelationId.POLY_LADDER, math.nan),
+        (RelationId.MONO_HAMMING_NEG, -math.inf),
+        (RelationId.POLY_AVERAGE_NEG, -math.inf),
+    ])
+    def test_evaluate_relation_rejects_alpha(self, relation, alpha):
+        kind = REGISTRY[relation].kind
+        mv = MeasureVector((0.5, 0.25), kind, 1.0)
+        with pytest.raises(ValueError, match="is not a finite number"):
+            evaluate_relation(mv, relation, alpha)
+
+    def test_out_of_range_message(self):
+        with pytest.raises(ValueError, match="outside the range of mono-hamming"):
+            evaluate_relation(scren_vec([0.5, 0.25], 1.0), RelationId.MONO_HAMMING, 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_weight_factor_and_bounds_reject_alpha(self, alpha):
+        for call in (lambda: weight_factor(alpha, 0.5),
+                     lambda: bound_hamming([0.5, 0.25], alpha, 0.5),
+                     lambda: bound_power_j([0.5, 0.25], alpha, 0.5),
+                     lambda: bound_kim([0.5, 0.25], alpha, "hamming"),
+                     lambda: bound_average([0.5, 0.25], alpha)):
+            with pytest.raises(ValueError, match="is not a finite number"):
+                call()
 
 
 class TestEvaluateRelation:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import negmono
 from negmono import (
     DensityMatrix,
     PureState,
@@ -20,8 +21,8 @@ from negmono import (
     write_state_json,
 )
 from negmono.harness import builtin_state
-from negmono.states import (NORM_ATOL, check_density_block, check_pure_block, haar_amplitudes,
-                            marginal_block)
+from negmono.states import (NORM_ATOL, Bipartition, check_density_block, check_pure_block,
+                            cut_matrices, haar_amplitudes, marginal_block)
 
 
 def bell():
@@ -320,6 +321,48 @@ class TestMarginalBlock:
     def test_empty_stack(self):
         for keep, d in (((0, 1), 4), ((0, 2, 3), 8)):
             assert marginal_block(np.empty((0, 16), dtype=complex), (2, 2, 2, 2), keep).shape == (0, d, d)
+
+
+class TestCutLayout:
+    """states owns the row-major layout: cut_matrices is the one reshape
+    across a cut, and the induced mixed states reduce through
+    marginal_block, bit for bit the projector route."""
+
+    MIXED = ([((2, 2), env) for env in (2, 3, 4)] + [((3, 3), 3)]
+             + [(dims, env) for dims in ((2, 3), (3, 2), (2, 4), (2, 8), (2, 2, 3))
+                for env in range(2, 10)])
+
+    @pytest.mark.parametrize("dims, env", MIXED, ids=str)
+    def test_haar_mixed_equals_projector_trace(self, dims, env):
+        for seed in (0, 5, np.random.SeedSequence((2026, env, 1))):
+            got = haar_random_mixed(dims, env, seed)
+            psi = haar_random_pure(dims + (env,), seed)
+            want = partial_trace(density(psi), range(len(dims)))
+            assert got.dims == want.dims == dims
+            assert _same_bits(got.matrix, want.matrix), (dims, env, seed)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (2, 2, 3),
+                                      (3, 3, 2), (2, 3, 2), (2, 2, 2, 2)], ids=str)
+    def test_cut_matrices_index_map(self, dims):
+        n, d = len(dims), int(np.prod(dims))
+        for r in range(1, n):
+            for a in itertools.combinations(range(n), r):
+                b = tuple(i for i in range(n) if i not in a)
+                d_a = int(np.prod([dims[i] for i in a]))
+                want = np.arange(d).reshape(dims).transpose(a + b).reshape(d_a, -1)
+                got = cut_matrices(np.arange(d), dims, Bipartition.split(n, a))
+                assert got.dtype == want.dtype and np.array_equal(got, want), (dims, a)
+
+    def test_cut_matrices_of_a_stack_are_the_rows(self):
+        amps = haar_amplitudes(12, range(4))
+        cut = Bipartition.split(3, (1,))
+        stack = cut_matrices(amps, (2, 3, 2), cut)
+        assert stack.shape == (4, 3, 4)
+        for row, mat in zip(amps, stack):
+            assert _same_bits(mat, cut_matrices(row, (2, 3, 2), cut))
+
+    def test_one_cut_type(self):
+        assert negmono.Bipartition is negmono.measures.Bipartition is negmono.states.Bipartition
 
 
 class TestPureBlockCheck:
