@@ -3,19 +3,23 @@
 Analysis runs on blocks of states, each held as one amplitude stack
 ``(rows, d)`` from start to finish.  :func:`run_campaign` walks its
 samples in fixed blocks of ``_BLOCK`` indices; each block is drawn in
-one pass (:func:`sample_block`) and analysed at once: one batched SVD
-for the full-cut values and, for every marginal rho_{0j}, the reduced
-states taken straight from the amplitudes
-(:func:`~negmono.states.marginal_block`), so no projector stack is ever
-built.  The amplitudes are checked as
-:class:`~negmono.states.PureState` checks one vector, and each marginal
-stack as :class:`~negmono.states.DensityMatrix` checks one matrix.  A
-block's relations are evaluated as columns by
-:func:`negmono.relations.evaluate_block`.  Which method gives a measure
-value is decided in one place, :func:`negmono.measures.squared_roof_block`
-(two-qubit closed forms, then the pure-state formula, then the roof):
-this module hands it each marginal's stack, and the collective tails of
-a block grouped by their reduced dims, one SCRENoA stack per group.  So
+one pass (:func:`sample_block`) and analysed at once, and no projector
+stack is ever built.  The amplitudes are checked once, as
+:class:`~negmono.states.PureState` checks one vector.  The full-cut
+values come from one batched SVD.  A two-qubit pair rho_{0j} forms no
+marginal: :func:`negmono.measures.two_qubit_block` takes the amplitude
+matrices across (0, j)|rest as factors of rho_{0j}, which a checked
+amplitude row makes a valid state by construction.  Every other marginal
+rho_{0j}, and every collective tail, is taken straight from the
+amplitudes (:func:`~negmono.states.marginal_block`) and its stack checked
+as :class:`~negmono.states.DensityMatrix` checks one matrix.  A block's
+relations are evaluated as columns by
+:func:`negmono.relations.evaluate_block`.  For density stacks, which
+method gives a measure value is decided in one place,
+:func:`negmono.measures.squared_roof_block` (two-qubit closed forms, then
+the pure-state formula, then the roof): this module hands it each
+non-qubit pair's stack, and the collective tails of a block grouped by
+their reduced dims, one SCRENoA stack per group.  So
 the roof rows of a marginal, or of a tail group, run in one
 :func:`negmono.roof.optimize_roof_block` call, as one array program,
 and no row's value depends on its batch.  :func:`analyze` is the block
@@ -47,6 +51,7 @@ from .measures import (  # noqa: F401
     scren,
     screnoa,
     squared_roof_block,
+    two_qubit_block,
     two_qubit_tangle_and_toa,
 )
 from .states import density, haar_random_pure, partial_trace  # noqa: F401
@@ -148,8 +153,10 @@ def analyze(psi: PureState, roof_config: RoofConfig | None = None, *,
     """Measure vectors of ``psi`` with A = subsystem 0 and B_j the others.
 
     ``lhs`` is the pure-state SCREN across A | rest (equal for both kinds
-    since minimum and maximum roofs coincide on pure states).  Marginals
-    and tails are measured by :func:`~negmono.measures.squared_roof_block`.
+    since minimum and maximum roofs coincide on pure states).  Two-qubit
+    marginals are measured by :func:`~negmono.measures.two_qubit_block` on
+    amplitude factors, other marginals and the tails by
+    :func:`~negmono.measures.squared_roof_block`.
     ``sort_values`` relabels the B subsystems so each vector is
     non-increasing (independently per kind); with ``include_tails`` the
     SCRENoA vector also carries the collective tail measures, computed in
@@ -176,6 +183,11 @@ def _analyze_block(amps: np.ndarray, dims: tuple[int, ...], roof_config: RoofCon
     scren_vals = np.empty((rows, n - 1))
     screnoa_vals = np.empty((rows, n - 1))
     for j in range(1, n):
+        if dims[0] == dims[j] == 2:
+            pair = Bipartition((0, j), tuple(i for i in range(1, n) if i != j))
+            scren_vals[:, j - 1], screnoa_vals[:, j - 1] = two_qubit_block(
+                cut_matrices(amps, dims, pair))
+            continue
         marg = marginal_block(amps, dims, (0, j))
         check_density_block(marg)
         scren_col, screnoa_col = squared_roof_block(marg, (dims[0], dims[j]), cut, roof_config)

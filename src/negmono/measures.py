@@ -4,9 +4,13 @@ The negativity of rho across a cut A|B is ``||rho^{T_B}||_1 - 1``.  SCREN
 is the squared convex roof of negativity (minimum mean pure-state
 negativity over all decompositions, squared), SCRENoA the squared concave
 roof (maximum).  For pure states both collapse to the pure-state
-negativity squared; for two-qubit states the Wootters spin-flip algebra
-gives exact closed forms, all in :func:`two_qubit_block`, that double as
-oracles for the roof optimizer.
+negativity squared; for two-qubit states Wootters' formula in Uhlmann's
+form gives exact closed forms, all in :func:`two_qubit_block`, that double
+as oracles for the roof optimizer.  That function takes a factor F of
+rho = F F^dagger, not rho: a campaign passes each pure state's amplitude
+matrix across (0, j)|rest, so no 2x2 marginal is formed, and
+:func:`squared_roof_block` passes the sqrt(q)-weighted eigenbase of each
+density matrix.
 
 :func:`squared_roof_block` is the one place that picks how SCREN and
 SCRENoA are computed, as masked columns over a stack of density
@@ -30,21 +34,15 @@ import numpy as np
 
 # optimize_roof is the one-matrix form of optimize_roof_block; it stays
 # bound here because the benchmark's tracer wraps this binding
-from .roof import Direction, RoofConfig, optimize_roof, optimize_roof_block  # noqa: F401
+from .roof import RANK_ATOL, Direction, RoofConfig, optimize_roof, optimize_roof_block  # noqa: F401
 from .states import (Bipartition, DensityMatrix, PureState, cut_matrices, float_pow,
                      partial_transpose, trace_norm)
 
 _NEG_CLAMP = 1e-12
 
-_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
+# sigma_y (x) sigma_y as a row map: row i of (Y (x) Y) F is
+# _YY_SIGNS[i] * F[3 - i]
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 class Method(Enum):
@@ -108,30 +106,38 @@ def pure_scren(psi: PureState, cut: Bipartition) -> float:
     return n * n
 
 
-def two_qubit_block(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def two_qubit_block(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact tangle ``max(0, mu1 - mu2 - mu3 - mu4)^2`` and tangle of
-    assistance ``(mu1 + mu2 + mu3 + mu4)^2`` of every checked two-qubit
-    density matrix in a stack ``(..., 4, 4)``, from one batched ``eigvals``
-    whose rows match a single matrix's bit for bit.
+    assistance ``(mu1 + mu2 + mu3 + mu4)^2`` of every two-qubit state
+    rho = F F^dagger given by a stack of factors F ``(..., 4, k)``, whose
+    rows match a single factor's bit for bit.
 
-    The mu_i are the decreasing square roots of the eigenvalues of
-    ``rho * rho_tilde``, ``rho_tilde = (Y (x) Y) conj(rho) (Y (x) Y)``: the
-    product is not Hermitian but its spectrum is provably real and
-    nonnegative, so tiny negative parts from roundoff are clamped.
+    This is Uhlmann's form of Wootters' formula: the mu_i are the singular
+    values of ``F^T (Y (x) Y) F``, which is k x k with rank at most 4
+    (missing mu_i are 0).  Unlike square roots of the eigenvalues of
+    ``rho * rho_tilde``, they stay accurate on rank-deficient states.  A
+    factor with k > 4 columns is first reduced to the 4 x 4 factor R^dagger
+    of ``F^dagger = QR``, which leaves rho and the mu_i unchanged.  The
+    callers are :func:`negmono.harness._analyze_block`, whose factors are
+    the amplitude matrices of pure states across (0, j)|rest, and
+    :func:`squared_roof_block`, whose factors are eigenbases.
     """
-    w = np.linalg.eigvals(mats @ (_YY @ mats.conj() @ _YY))
-    mu = np.sqrt(np.sort(np.clip(np.real(w), 0.0, None), axis=-1)[..., ::-1])
+    if factors.shape[-1] > 4:
+        factors = np.linalg.qr(factors.conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
+    mu = np.linalg.svd(factors.swapaxes(-1, -2) @ (factors[..., ::-1, :] * _YY_SIGNS),
+                       compute_uv=False)
     c = mu[..., 0] - mu[..., 1:].sum(axis=-1)
     c = np.where(c > 0.0, c, 0.0)
     return c * c, float_pow(mu.sum(axis=-1), 2)
 
 
 def two_qubit_tangle_and_toa(rho: DensityMatrix) -> tuple[float, float]:
-    """:func:`two_qubit_block` of one two-qubit state."""
+    """:func:`two_qubit_block` of one two-qubit state, through
+    :func:`squared_roof_block`."""
     if rho.dims != (2, 2):
         raise ValueError(f"spin flip requires dims (2, 2), got {rho.dims}")
-    tangle, toa = two_qubit_block(rho.matrix)
-    return float(tangle), float(toa)
+    tangle, toa = squared_roof_block(rho.matrix[None], rho.dims, Bipartition.split(2, (0,)))
+    return float(tangle.values[0]), float(toa.values[0])
 
 
 def _squared_gap(value_pre: float, spread: float, direction: Direction) -> float:
@@ -159,24 +165,26 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
     checked density matrix in a stack ``(rows, d, d)`` over ``dims``: one
     :class:`MeasureColumn` per entry of ``directions``, in that order.
 
-    Dispatch, as masked columns over the stack: a 2x2 stack takes the
-    closed forms of :func:`two_qubit_block` (exact for pure and mixed
-    states alike).  Otherwise one batched ``eigh`` marks the pure rows (top
-    eigenvalue within 1e-10 of 1), whose top eigenvectors take the
-    pure-state formula once for both directions; every other row takes
-    the roof optimizer once per direction, all in one
-    :func:`~negmono.roof.optimize_roof_block` call.  The optimizer value is
+    Dispatch, as masked columns over the stack, after one batched ``eigh``:
+    a 2x2 stack takes the closed forms of :func:`two_qubit_block` (exact
+    for pure and mixed states alike) on the factors sqrt(q) times the
+    eigenvectors, with the columns of q <= ``RANK_ATOL`` zeroed (masked,
+    not dropped, so the stack stays one array).  Otherwise the eigenvalues
+    mark the pure rows (top eigenvalue within 1e-10 of 1), whose top
+    eigenvectors take the pure-state formula once for both directions;
+    every other row takes the roof optimizer once per direction, all in
+    one :func:`~negmono.roof.optimize_roof_block` call.  The optimizer value is
     an upper bound on the true roof for MIN and a lower bound for MAX;
     restart disagreement is reported in ``certified_gaps``, never silently.
     """
     cut.validate(len(dims))
     rows = len(mats)
+    w, u = np.linalg.eigh(mats)
     if tuple(dims) == (2, 2):
-        tangle, toa = two_qubit_block(mats)
+        tangle, toa = two_qubit_block(u * np.sqrt(np.where(w > RANK_ATOL, w, 0.0))[:, None, :])
         exact = {Direction.MIN: tangle, Direction.MAX: toa}
         return tuple(MeasureColumn(exact[d], [Method.TWO_QUBIT_CLOSED_FORM] * rows, np.zeros(rows))
                      for d in directions)
-    w, u = np.linalg.eigh(mats)
     pure = w[:, -1] >= 1.0 - 1e-10
     # the 1-D norm of each vector: an axis= norm sums in another order
     tops = np.array([u[b, :, -1] / np.linalg.norm(u[b, :, -1]) for b in np.flatnonzero(pure)])

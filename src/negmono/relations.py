@@ -52,6 +52,7 @@ zero, as Python 3.11's ``sum`` of floats does.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -235,8 +236,11 @@ REGISTRY: dict[RelationId, RelationSpec] = {
 
 
 def check_alpha(alpha, relation: RelationId | None = None) -> float:
-    """``alpha`` as a float, checked finite and, given a relation, in its
-    range: the one alpha check of every relation entry point."""
+    """``alpha`` as a float, checked a real number (not a bool or a
+    string), finite and, given a relation, in its range: the one alpha
+    check of every relation entry point."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha = {alpha} is not a finite number")
@@ -388,13 +392,13 @@ def bound_hamming(values, alpha: float, k: float) -> float | None:
 
     Returns None when a zero value meets alpha <= 0 (not applicable).
     """
-    alpha = float(alpha)
+    alpha = check_alpha(alpha)
     return _bound_row(values, alpha, weight_factor(alpha, k), "hamming")
 
 
 def bound_power_j(values, alpha: float, k: float) -> float | None:
     """Like :func:`bound_hamming` with exponent j instead of w_H(j)."""
-    alpha = float(alpha)
+    alpha = check_alpha(alpha)
     return _bound_row(values, alpha, weight_factor(alpha, k), "ladder")
 
 

@@ -287,11 +287,11 @@ def marginal_block(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
 def partial_transpose(rho, subsystems, dims=None) -> np.ndarray:
     """Transpose the listed factors; returns a plain Hermitian matrix.
 
-    ``rho`` is a :class:`DensityMatrix`, or any Hermitian matrix when
-    ``dims`` is given (the output of a partial transposition is generally
-    not positive, so round trips need the raw form).  Applying the same
-    transposition twice returns the original matrix exactly, and the
-    trace is untouched.
+    ``rho`` is a :class:`DensityMatrix`, or any finite Hermitian matrix
+    when ``dims`` is given (the output of a partial transposition is
+    generally not positive, so round trips need the raw form).  Applying
+    the same transposition twice returns the original matrix exactly, and
+    the trace is untouched.
     """
     if isinstance(rho, DensityMatrix):
         mat, dims = rho.matrix, rho.dims
@@ -300,6 +300,7 @@ def partial_transpose(rho, subsystems, dims=None) -> np.ndarray:
             raise ValueError("dims is required for a raw matrix input")
         dims = validate_dims(dims)
         mat = np.asarray(rho, dtype=complex)
+        require_finite(mat, "matrix")
     n = len(dims)
     subs = _check_subsystems(subsystems, n, allow_empty=True)
     t = mat.reshape(dims + dims)
@@ -314,10 +315,11 @@ def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix.
 
     Inputs with asymmetry up to 1e-12 are symmetrized before the
-    eigensolve; anything beyond that is rejected rather than silently
-    repaired.
+    eigensolve; anything beyond that, and any NaN or infinite entry, is
+    rejected rather than silently repaired.
     """
     mat = np.asarray(m, dtype=complex)
+    require_finite(mat, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     asym = np.abs(mat - mat.conj().T).max() if mat.size else 0.0

@@ -43,7 +43,9 @@ from negmono.harness import (
     sample_block,
     vector_for,
 )
+from negmono.measures import two_qubit_block
 from negmono.relations import SAT_TOL
+from negmono.states import cut_matrices
 
 CAPPED_ROOF = RoofConfig(restarts=2, max_iters=10, seed=4)
 CUT2 = Bipartition.split(2, (0,))
@@ -62,6 +64,19 @@ PURE_MARGINALS = (
 )
 
 
+def _pair_closed_forms(psi, j):
+    """two_qubit_block of psi's amplitude factor of rho_{0j}, one row."""
+    pair = Bipartition((0, j), tuple(i for i in range(1, psi.n_factors) if i != j))
+    tangle, toa = two_qubit_block(cut_matrices(psi.amplitudes[None], psi.dims, pair))
+    return float(tangle[0]), float(toa[0])
+
+
+# a two-qubit pair's value comes from the amplitude factor, scren and
+# screnoa of the marginal from its eigh factor: two factorizations of
+# one closed form, which agree to about 4e-15
+FACTOR_TOL = 1e-13
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 3), (2, 2, 2)])
 def test_block_analysis_equals_scalar_path(dims):
     config = CampaignConfig(dims=dims, samples=1, seed=31)
@@ -73,11 +88,23 @@ def test_block_analysis_equals_scalar_path(dims):
     for b, psi in enumerate(states):
         assert scren_block.lhs[b] == pure_scren(psi, Bipartition.split(len(dims), (0,)))
         assert screnoa_block.lhs[b] == scren_block.lhs[b]
+        one = analyze(psi, CAPPED_ROOF)
+        assert scren_block.values[b].tolist() == list(one.scren.values)
+        assert screnoa_block.values[b].tolist() == list(one.screnoa.values)
         rho = density(psi)
         for j in range(1, len(dims)):
             marg = partial_trace(rho, (0, j))
-            assert scren_block.values[b, j - 1] == scren(marg, CUT2, CAPPED_ROOF).value
-            assert screnoa_block.values[b, j - 1] == screnoa(marg, CUT2, CAPPED_ROOF).value
+            lo = scren(marg, CUT2, CAPPED_ROOF).value
+            hi = screnoa(marg, CUT2, CAPPED_ROOF).value
+            if dims[j] == 2:
+                tangle, toa = _pair_closed_forms(psi, j)
+                assert scren_block.values[b, j - 1] == tangle
+                assert screnoa_block.values[b, j - 1] == toa
+                assert abs(tangle - lo) <= FACTOR_TOL
+                assert abs(toa - hi) <= FACTOR_TOL
+            else:
+                assert scren_block.values[b, j - 1] == lo
+                assert screnoa_block.values[b, j - 1] == hi
 
 
 def _fold_report(st: RelationStats, rep) -> None:
@@ -197,10 +224,18 @@ def test_batched_tails_equal_per_row_tails(dims, sort_values):
         order = np.arange(n - 1)
         if sort_values:
             order = np.argsort(-unsorted.values[b], kind="stable")
+        one = analyze(psi, CAPPED_ROOF, sort_values=sort_values, include_tails=True).screnoa
+        assert screnoa_block.tail_values[b].tolist() == list(one.tail_values)
         rho = density(psi)
         for i in range(n - 2):
             keep = (0,) + tuple(sorted(int(p) + 1 for p in order[i + 1:]))
-            cut = CUT2 if len(keep) == 2 else Bipartition.split(len(keep), (0,))
+            if len(keep) == 2:
+                # the last tail is the pair's own two-qubit value
+                expected = screnoa(partial_trace(rho, keep), CUT2, CAPPED_ROOF).value
+                assert screnoa_block.tail_values[b, i] == _pair_closed_forms(psi, keep[1])[1]
+                assert abs(screnoa_block.tail_values[b, i] - expected) <= FACTOR_TOL
+                continue
+            cut = Bipartition.split(len(keep), (0,))
             expected = screnoa(partial_trace(rho, keep), cut, CAPPED_ROOF).value
             assert screnoa_block.tail_values[b, i] == expected
 
@@ -224,17 +259,63 @@ QUBIT_CAMPAIGNS = {
 }
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("4q", "12bebe9bc139d93b6f95abdf53051834bd10cbe31160ccf7370ee01faf8fbfd3"),
-    ("5q", "62d11d9a4959b0bbc8cba9de0af7e646ac7b6bc190d26dae07f08933b3bb5b77"),
-])
-def test_qubit_campaign_digest(name, digest):
-    """Recorded when blocks were 64 states of projector stacks, these pin
-    the amplitude-stack blocks to the same bits.  Like every LAPACK-backed
-    value they are specific to the numpy build (numpy 2.4,
-    scipy-openblas 0.3.31 on x86_64)."""
+QUBIT_DIGESTS = {
+    "4q": "f6d69e915b26af96c7cb57f7fad7b95b7a35ca7589621467761afc8f37d8a598",
+    "5q": "1564c688a04aeb7a1af8fc05be680e0549f0f97c1d4bb848e13b391d9425c96b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUBIT_DIGESTS))
+def test_qubit_campaign_digest(name):
+    """Recorded when the two-qubit closed forms became singular values of
+    the amplitude factor (Uhlmann's form), which moved these reports by
+    at most 2e-15.  Like every LAPACK-backed value they are specific to
+    the numpy build (numpy 2.4, scipy-openblas 0.3.31 on x86_64)."""
     text = campaign_report_json(run_campaign(QUBIT_CAMPAIGNS[name]))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == QUBIT_DIGESTS[name]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls of the marginal builder and check bound in harness,
+    and of numpy's non-Hermitian eigensolver: {name: [args of each call]}."""
+    seen = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name].append(args)
+            return real(*args, **kwargs)
+
+        seen[name] = []
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(harness, "marginal_block")
+    counted(harness, "check_density_block")
+    counted(np.linalg, "eigvals")
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(QUBIT_CAMPAIGNS))
+def test_qubit_campaign_forms_no_marginal(calls, name):
+    # every pair is two-qubit: its closed forms come from the amplitude
+    # factor, so no marginal is built or checked and no eigvals runs
+    run_campaign(QUBIT_CAMPAIGNS[name])
+    assert {k: len(v) for k, v in calls.items()} == {
+        "marginal_block": 0, "check_density_block": 0, "eigvals": 0}
+
+
+@pytest.mark.usefixtures("block_of_64")
+def test_qutrit_campaign_forms_only_the_qutrit_marginal(calls):
+    config = CampaignConfig(dims=(2, 2, 3), samples=BLOCK + 5, seed=19, alphas=(1.0,),
+                            relations=(RelationId.MONO_HAMMING,),
+                            roof=RoofConfig(restarts=1, max_iters=2))
+    run_campaign(config)
+    # one marginal per block, for the 2x3 pair (0, 2) only
+    assert [args[2] for args in calls["marginal_block"]] == [(0, 2), (0, 2)]
+    assert len(calls["check_density_block"]) == 2
+    assert calls["eigvals"] == []
 
 
 BLOCK_SIZE_CAMPAIGNS = {

@@ -1,7 +1,9 @@
 """numpy is the only runtime dependency: every module of the package imports
 only from the standard library, numpy or the package itself.  Inside the
 package the modules are layered (states, then roof, then measures, with
-relations on states alone), and harness never imports the cli."""
+relations on states alone), and harness never imports the cli.  No
+module calls numpy's non-Hermitian eigensolver ``eigvals``: the two-qubit
+closed forms take singular values instead."""
 
 import ast
 import sys
@@ -93,3 +95,13 @@ def test_harness_does_not_import_cli():
 ])
 def test_package_import_scan(source, expected):
     assert _package_imports(source) == expected
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_eigvals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "eigvals" not in names, f"{path.name} uses eigvals"

@@ -25,6 +25,8 @@ from negmono import (
 )
 from negmono.harness import builtin_state
 from negmono.measures import squared_roof_block, two_qubit_block
+from negmono.roof import RANK_ATOL
+from negmono.states import cut_matrices
 
 CUT2 = Bipartition.split(2, (0,))
 CUT3 = Bipartition.split(3, (0,))
@@ -127,8 +129,10 @@ class TestTwoQubitClosedForms:
     def test_combined_helper_matches(self):
         red = haar_random_mixed((2, 2), 4, 31)
         tangle, toa = two_qubit_tangle_and_toa(red)
-        # the one-matrix case of the stack form, bit for bit
-        block_tangle, block_toa = two_qubit_block(red.matrix[None])
+        # the one-matrix case of the stack form on the eigh factor, bit for bit
+        w, u = np.linalg.eigh(red.matrix[None])
+        factor = u * np.sqrt(np.where(w > RANK_ATOL, w, 0.0))[:, None, :]
+        block_tangle, block_toa = two_qubit_block(factor)
         assert block_tangle.tolist() == [tangle]
         assert block_toa.tolist() == [toa]
         # the measure entry points take their closed forms from it, bit for bit
@@ -136,17 +140,86 @@ class TestTwoQubitClosedForms:
         assert screnoa(red, CUT2).value == toa
 
     def test_pure_states_agree_with_tangle(self):
-        # the non-normal eigensolve behind the spin flip carries sqrt-level
-        # roundoff on the degenerate spectra of pure states
+        # a pure state has rank 1: singular values keep its three zero mu_i
+        # exact, where square roots of eigvals(rho rho~) were off by ~1e-8
         rng = np.random.default_rng(71)
         for _ in range(20):
             psi = haar_random_pure((2, 2), rng.integers(1 << 31))
             tangle = two_qubit_tangle_and_toa(density(psi))[0]
-            assert abs(tangle - pure_tangle(psi, CUT2)) < 5e-8
+            assert abs(tangle - pure_tangle(psi, CUT2)) < 1e-13
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
             two_qubit_tangle_and_toa(density(haar_random_pure((2, 3), 1)))
+
+
+def _haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
+PHI_MINUS = np.array([1, 0, 0, -1]) / np.sqrt(2)
+
+
+class TestUhlmannForm:
+    """two_qubit_block takes a factor F of rho = F F^dagger ``(..., 4, k)``:
+    the mu_i are the singular values of F^T (Y (x) Y) F."""
+
+    @staticmethod
+    def bell_mixture_factor(p, k, rng):
+        """A factor (4, k) of (U (x) V)(p Phi+ + (1 - p) Phi-)(U (x) V)^dagger:
+        tangle (2p - 1)^2 and TOA 1 exactly.  Its two columns, padded with
+        zeros to k, are mixed by a Haar unitary on C^k, which leaves rho as
+        it is."""
+        local = np.kron(_haar_unitary(2, rng), _haar_unitary(2, rng))
+        cols = np.zeros((4, k), dtype=complex)
+        cols[:, 0] = np.sqrt(p) * (local @ PHI_PLUS)
+        cols[:, 1] = np.sqrt(1.0 - p) * (local @ PHI_MINUS)
+        return cols @ _haar_unitary(k, rng)
+
+    P_GRID = (0.03, 0.1, 0.25, 0.4, 0.5, 0.55, 0.7, 0.9, 0.97)
+
+    def test_rank_two_bell_mixtures_exact(self):
+        # square roots of eigvals(rho rho~) missed this oracle by up to 1.3e-8
+        rng = np.random.default_rng(np.random.SeedSequence(2045))
+        for p in self.P_GRID:
+            factor = self.bell_mixture_factor(p, 2, rng)
+            tangle, toa = two_qubit_tangle_and_toa(DensityMatrix(factor @ factor.conj().T, (2, 2)))
+            assert abs(tangle - (2 * p - 1) ** 2) <= 1e-13
+            assert abs(toa - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_factor_widths_exact(self, k):
+        # k = 2 leaves two mu_i missing, k = 8 takes the QR reduction
+        rng = np.random.default_rng(np.random.SeedSequence((2046, k)))
+        factors = np.stack([self.bell_mixture_factor(p, k, rng) for p in self.P_GRID])
+        tangle, toa = two_qubit_block(factors)
+        assert np.abs(tangle - (2 * np.array(self.P_GRID) - 1) ** 2).max() <= 1e-13
+        assert np.abs(toa - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_amplitude_factor_equals_eigh_factor(self, k):
+        # the amplitude matrix of a Haar state on (2, 2, k) across (0, 1)|2
+        # factors its (0, 1) marginal, of rank min(k, 4); the measure entry
+        # points take that marginal's eigh factor instead
+        cut = Bipartition((0, 1), (2,))
+        for seed in range(8):
+            psi = haar_random_pure((2, 2, k), np.random.SeedSequence((2047, k, seed)))
+            tangle, toa = two_qubit_block(cut_matrices(psi.amplitudes, psi.dims, cut))
+            eigh_tangle, eigh_toa = two_qubit_tangle_and_toa(marginal(psi))
+            assert abs(tangle - eigh_tangle) <= 1e-13
+            assert abs(toa - eigh_toa) <= 1e-13
+
+    def test_rows_equal_one_factor(self):
+        rng = np.random.default_rng(2048)
+        for k in (1, 3, 4, 6):
+            factors = rng.standard_normal((5, 4, k)) + 1j * rng.standard_normal((5, 4, k))
+            factors /= np.linalg.norm(factors, axis=(1, 2))[:, None, None]
+            tangle, toa = two_qubit_block(factors)
+            for b in range(5):
+                one = two_qubit_block(factors[b])
+                assert (float(one[0]), float(one[1])) == (tangle[b], toa[b])
 
 
 class TestScrenDispatch:
@@ -248,7 +321,9 @@ class TestRoofBlockDispatchDigest:
     2x3, 3x2, 3x3, 2x4 and three-factor cuts, for MIN, MAX or both.
 
     Recorded before the non-2x2 dispatch became masked columns over the
-    stack; like the other digests it is specific to the numpy build
+    stack, and re-recorded, with every non-2x2 column unchanged, when the
+    2x2 closed forms became singular values of the eigh factor (Uhlmann's
+    form); like the other digests it is specific to the numpy build
     (numpy 2.4, scipy-openblas 0.3.31 on x86_64) it was recorded with.
     """
 
@@ -256,7 +331,7 @@ class TestRoofBlockDispatchDigest:
              ((2, 3, 2), (0, 2)), ((2, 2, 2), (1,)))
     DIRECTIONS = ((Direction.MIN,), (Direction.MAX,), (Direction.MIN, Direction.MAX))
     STACKS = 35
-    DIGEST = "4b3ddb9197d44cd95f3df6958c7250950360e84e0609447158f4fd49b774a3a1"
+    DIGEST = "935dc1cd11c11d19c5fb3725ce37ec261c6a744c69117e6c060aeaff8ac7a013"
 
     @classmethod
     def stack(cls, s):

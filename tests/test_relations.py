@@ -21,8 +21,8 @@ from negmono import (
     hamming_weight,
     weight_factor,
 )
-from negmono.harness import relation_reports_to_json
-from negmono.relations import REGISTRY, MeasureBlock
+from negmono.harness import builtin_state, relation_reports_to_json, sweep
+from negmono.relations import REGISTRY, MeasureBlock, evaluate_block
 
 
 def scren_vec(values, lhs, tails=None):
@@ -259,6 +259,18 @@ class TestNonFiniteInput:
         mv = MeasureVector((0.5, 0.25), kind, 1.0)
         with pytest.raises(ValueError, match="is not a finite number"):
             evaluate_relation(mv, relation, alpha)
+
+    # campaign configs reject these too ("a list of finite numbers")
+    @pytest.mark.parametrize("alpha", [True, False, "1.5", None, 1 + 0j], ids=repr)
+    def test_entry_points_reject_non_real_alpha(self, alpha):
+        relation = RelationId.MONO_HAMMING
+        mv = scren_vec([0.5, 0.25], 1.0)
+        block = MeasureBlock([[0.5, 0.25]], MeasureKind.SCREN, [1.0])
+        for call in (lambda: evaluate_relation(mv, relation, alpha),
+                     lambda: evaluate_block(block, [(relation, alpha)]),
+                     lambda: sweep(builtin_state("bell"), relation, (alpha,))):
+            with pytest.raises(ValueError, match="alpha must be a finite number, got"):
+                call()
 
     def test_out_of_range_message(self):
         with pytest.raises(ValueError, match="outside the range of mono-hamming"):

@@ -422,6 +422,13 @@ class TestPartialTranspose:
         assert abs(pt.trace() - 1) < 1e-12
         assert np.abs(pt - pt.conj().T).max() < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_raw_matrix(self, bad):
+        mat = np.eye(4) / 4
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            partial_transpose(mat, (1,), dims=(2, 2))
+
 
 class TestTraceNorm:
     def test_sum_of_absolute_eigenvalues(self):
@@ -437,6 +444,14 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    # NaN passed the asymmetry test (nan > tol is False) and came back as
+    # nan; inf raised a RuntimeWarning in the subtraction
+    @pytest.mark.parametrize("mat", [np.full((2, 2), np.nan), [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite(self, mat):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            trace_norm(mat)
 
     def test_pt_trace_norm_at_least_one(self):
         rng = np.random.default_rng(31)
