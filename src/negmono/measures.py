@@ -35,7 +35,7 @@ import numpy as np
 # optimize_roof is the one-matrix form of optimize_roof_block; it stays
 # bound here because the benchmark's tracer wraps this binding
 from .roof import RANK_ATOL, Direction, RoofConfig, optimize_roof, optimize_roof_block  # noqa: F401
-from .states import (Bipartition, DensityMatrix, PureState, cut_matrices, float_pow,
+from .states import (Bipartition, DensityMatrix, PureState, cut_matrices,
                      partial_transpose, trace_norm)
 
 _NEG_CLAMP = 1e-12
@@ -91,8 +91,8 @@ def pure_tangle(psi: PureState, cut: Bipartition) -> float:
 def pure_negativity_block(cut_mats: np.ndarray) -> np.ndarray:
     """:func:`pure_negativity` of every amplitude matrix in a stack
     ``(..., d_A, d_B)``, from one batched SVD."""
-    s = np.linalg.svd(cut_mats, compute_uv=False)
-    return _clamp_nonneg(float_pow(s.sum(axis=-1), 2) - 1.0)
+    t = np.linalg.svd(cut_mats, compute_uv=False).sum(axis=-1)
+    return _clamp_nonneg(t * t - 1.0)
 
 
 def pure_negativity(psi: PureState, cut: Bipartition) -> float:
@@ -128,7 +128,8 @@ def two_qubit_block(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                        compute_uv=False)
     c = mu[..., 0] - mu[..., 1:].sum(axis=-1)
     c = np.where(c > 0.0, c, 0.0)
-    return c * c, float_pow(mu.sum(axis=-1), 2)
+    t = mu.sum(axis=-1)
+    return c * c, t * t
 
 
 def two_qubit_tangle_and_toa(rho: DensityMatrix) -> tuple[float, float]:

@@ -42,11 +42,13 @@ on alpha, and the powers ``v_j^alpha`` once per alpha.
 :func:`evaluate_relation`, :func:`admissible_k` and the ``bound_*``
 functions are its one-row case, so there is no second scalar path.
 
-The columns reproduce scalar Python arithmetic bit for bit, which keeps
-campaign reports byte-identical however the rows are blocked.  Every
-power goes through ``states.float_pow`` (Python's ``pow`` per element,
-never ``np.power``), and every sum adds its terms left to right from
-zero, as Python 3.11's ``sum`` of floats does.
+A row's columns do not depend on its block or its position there, which
+keeps campaign reports byte-identical across reruns and block sizes on
+one numpy build.  Every power is one ``np.power`` call over the block,
+whose loop gives each element the value it gives that element alone,
+and every sum adds its terms left to right from zero, as Python 3.11's
+``sum`` of floats does.  The powers are numpy's, not Python's ``**``:
+the two differ in the last bit on a few percent of values.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import float_pow, require_finite
+from .states import require_finite
 
 COND_TOL = 1e-12
 SAT_TOL = 1e-9
@@ -264,7 +266,7 @@ def weight_factor(alpha: float, k):
     k = np.asarray(k, dtype=float)
     if not ((0.0 < k) & (k <= 1.0)).all():
         raise ValueError(f"k must lie in (0, 1], got {k}")
-    factor = (float_pow(1.0 + k, alpha) - 1.0) / float_pow(k, alpha)
+    factor = (np.power(1.0 + k, alpha) - 1.0) / np.power(k, alpha)
     return factor if factor.ndim else float(factor)
 
 
@@ -356,9 +358,9 @@ def _powers(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     is undefined for alpha <= 0, so such a row's relation is not
     applicable."""
     if alpha > 0.0:
-        return float_pow(values, alpha), np.ones(len(values), dtype=bool)
+        return np.power(values, alpha), np.ones(len(values), dtype=bool)
     defined = (values > POS_EPS).all(axis=-1)
-    return float_pow(np.where(defined[:, None], values, 1.0), alpha), defined
+    return np.power(np.where(defined[:, None], values, 1.0), alpha), defined
 
 
 def _pattern_sum(powers: np.ndarray, base, exponent: str) -> np.ndarray:
@@ -366,7 +368,8 @@ def _pattern_sum(powers: np.ndarray, base, exponent: str) -> np.ndarray:
     or the index itself (``"ladder"``): the one shape of every bound but
     the average one.  ``base`` is a number or one per row."""
     e = hamming_weight if exponent == "hamming" else (lambda j: j)
-    coefs = float_pow(np.asarray(base)[..., None], [e(j) for j in range(powers.shape[1])])
+    coefs = np.power(np.asarray(base)[..., None],
+                     np.array([e(j) for j in range(powers.shape[1])], dtype=float))
     total = 0.0
     for j in range(powers.shape[1]):
         total = total + coefs[..., j] * powers[:, j]
@@ -571,7 +574,7 @@ def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportCol
         if alpha not in powers:
             has_lhs_pow = (lhs > POS_EPS) | (alpha > 0.0)
             powers[alpha] = _powers(vals, alpha) + (
-                float_pow(np.where(has_lhs_pow, lhs, 1.0), alpha), has_lhs_pow)
+                np.power(np.where(has_lhs_pow, lhs, 1.0), alpha), has_lhs_pow)
         pows, defined, lhs_pow, has_lhs_pow = powers[alpha]
 
         kim_rhs = np.full(len(vals), np.nan)

@@ -38,21 +38,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-_PY_POW = np.frompyfunc(pow, 2, 1)
-
-
-def float_pow(x, y) -> np.ndarray:
-    """``x ** y`` elementwise through Python's float ``pow``.
-
-    ``np.power`` rounds differently from the C ``pow`` behind Python's
-    ``**`` (on an AVX-512 host it differs on a few percent of values), so
-    every power a report carries goes through here to stay bit for bit
-    the value a scalar ``**`` gives.  Inputs broadcast and are cast to
-    Python floats first; the result is a float array (0-d for scalars).
-    """
-    return np.asarray(_PY_POW(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
-
-
 def require_finite(values: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` naming the first NaN or infinite entry of ``values``."""
     if not np.isfinite(values).all():

@@ -260,19 +260,45 @@ QUBIT_CAMPAIGNS = {
 
 
 QUBIT_DIGESTS = {
-    "4q": "f6d69e915b26af96c7cb57f7fad7b95b7a35ca7589621467761afc8f37d8a598",
-    "5q": "1564c688a04aeb7a1af8fc05be680e0549f0f97c1d4bb848e13b391d9425c96b",
+    "4q": "f0f2476db2d081a5b814dada57fdb574767a594607576c7c8cdd9e0bb2509878",
+    "5q": "da8fa71cb3a1813c4c0284588fcdb8e4527970148e2543120b17a21e0bf87abc",
 }
 
 
 @pytest.mark.parametrize("name", sorted(QUBIT_DIGESTS))
 def test_qubit_campaign_digest(name):
-    """Recorded when the two-qubit closed forms became singular values of
-    the amplitude factor (Uhlmann's form), which moved these reports by
-    at most 2e-15.  Like every LAPACK-backed value they are specific to
-    the numpy build (numpy 2.4, scipy-openblas 0.3.31 on x86_64)."""
+    """Recorded when the relation powers moved from Python's ``pow`` per
+    element to ``np.power``, which moved these reports by at most 9e-16
+    relative and changed no tally.  Like every LAPACK-backed value, and
+    like numpy's ``pow`` loop, they are specific to the numpy build
+    (numpy 2.4, scipy-openblas 0.3.31 on x86_64)."""
     text = campaign_report_json(run_campaign(QUBIT_CAMPAIGNS[name]))
     assert hashlib.sha256(text.encode()).hexdigest() == QUBIT_DIGESTS[name]
+
+
+# (evaluated, condition_pass, violations) per relation, the same at each
+# of its alphas; no campaign here has a CKW or polygamy violation
+QUBIT_VERDICTS = {
+    "4q": {"mono-hamming": (300, 300, 0), "mono-ladder": (292, 292, 0),
+           "mono-hamming-base": (300, 300, 0), "mono-ladder-base": (292, 292, 0),
+           "poly-hamming": (300, 300, 0), "poly-ladder": (1, 1, 0),
+           "poly-hamming-base": (300, 300, 0), "poly-ladder-base": (1, 1, 0)},
+    "5q": {"mono-hamming": (40, 40, 0), "mono-ladder": (40, 40, 0),
+           "mono-hamming-base": (40, 40, 0), "mono-ladder-base": (40, 40, 0),
+           "poly-hamming": (40, 40, 0), "poly-ladder": (0, 0, 0),
+           "poly-hamming-base": (40, 40, 0), "poly-ladder-base": (0, 0, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUBIT_VERDICTS))
+def test_qubit_campaign_verdicts(name):
+    # pinned apart from the digest, so a re-pinned digest cannot hide a
+    # changed verdict
+    report = run_campaign(QUBIT_CAMPAIGNS[name])
+    assert len(report.stats) == 4 * len(QUBIT_VERDICTS[name])
+    for s in report.stats:
+        assert (s.evaluated, s.condition_pass, s.violations) == QUBIT_VERDICTS[name][s.relation.value]
+    assert (report.baseline.ckw_violations, report.baseline.polygamy_violations) == (0, 0)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ only from the standard library, numpy or the package itself.  Inside the
 package the modules are layered (states, then roof, then measures, with
 relations on states alone), and harness never imports the cli.  No
 module calls numpy's non-Hermitian eigensolver ``eigvals``: the two-qubit
-closed forms take singular values instead."""
+closed forms take singular values instead.  No module runs a Python
+function per element (``np.frompyfunc``, ``np.vectorize``) or builds an
+object-dtype array: every array kernel is a numpy loop."""
 
 import ast
 import sys
@@ -105,3 +107,52 @@ def test_no_eigvals(path):
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert "eigvals" not in names, f"{path.name} uses eigvals"
+
+
+PER_ELEMENT = {"frompyfunc", "vectorize"}
+
+
+def _is_object_dtype(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "object")
+            or (isinstance(node, ast.Attribute) and node.attr == "object_")
+            or (isinstance(node, ast.Constant) and node.value in ("O", "|O", "object")))
+
+
+def _per_element_kernels(source: str) -> list[str]:
+    """What in ``source`` runs Python per array element: a call through
+    ``frompyfunc`` or ``vectorize``, or an object dtype given as a
+    ``dtype=`` argument, to ``astype`` or ``dtype``, or as ``np.object_``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in PER_ELEMENT | {"object_"}:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in PER_ELEMENT:
+            found.append(node.id)
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and _is_object_dtype(node.value):
+            found.append("dtype=object")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("astype", "dtype") and node.args
+              and _is_object_dtype(node.args[0])):
+            found.append(f"{node.func.attr}(object)")
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("f = np.frompyfunc(pow, 2, 1)", ["frompyfunc"]),
+    ("from numpy import vectorize", []),
+    ("g = vectorize(h)", ["vectorize"]),
+    ("a = np.asarray(x, dtype=object)", ["dtype=object"]),
+    ("a = np.empty(3, dtype='O')", ["dtype=object"]),
+    ("a = x.astype(object)", ["astype(object)"]),
+    ("t = np.dtype('object')", ["dtype(object)"]),
+    ("a = np.zeros(2, np.object_)", ["object_"]),
+    ("object.__setattr__(self, 'x', np.asarray(x, dtype=float))", []),
+])
+def test_per_element_scan(source, expected):
+    assert _per_element_kernels(source) == expected
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_element_python_kernel(path):
+    found = _per_element_kernels(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} runs Python per element: {found}"

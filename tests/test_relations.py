@@ -22,7 +22,7 @@ from negmono import (
     weight_factor,
 )
 from negmono.harness import builtin_state, relation_reports_to_json, sweep
-from negmono.relations import REGISTRY, MeasureBlock, evaluate_block
+from negmono.relations import REGISTRY, MeasureBlock, _pattern_sum, _powers, evaluate_block
 
 
 def scren_vec(values, lhs, tails=None):
@@ -483,8 +483,10 @@ class TestPinnedReports:
     # sha256 of every report below as JSON (17 significant digits).  It
     # holds each float of the relation layer to the last bit across
     # commits, so a change to it is a change to campaign reports and needs
-    # a recorded reason.  Python floats only: no LAPACK call takes part.
-    DIGEST = "a9c51bce17c79dd60497ce0a0f1f3734b7426d3d390c5f22c2c0a992cef3b77b"
+    # a recorded reason.  No LAPACK call takes part, but every power comes
+    # from numpy's ``pow`` loop, so the digest is specific to the numpy
+    # build (numpy 2.4 on x86_64) as well.
+    DIGEST = "ac1f03dc9f8aebb5eaf07d7ad81a92002588dfdf60816f0d7483cf9c071bb15c"
 
     def test_reports_bit_identical(self):
         reports = []
@@ -498,3 +500,75 @@ class TestPinnedReports:
                             reports.append(evaluate_relation(mv, relation, alpha, k_policy))
         text = relation_reports_to_json(reports)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+POWER_ALPHAS = (-2.0, -1.0, -0.5, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+POWER_LENGTHS = (1, 7, 255, 256)
+
+
+class TestPowerKernelRowInvariance:
+    """Every power is one ``np.power`` call over a block, so a row's value
+    must not depend on the block around it: the block's powers equal, with
+    ``==``, each row's powers computed alone and the same rows one row
+    further on.  numpy takes a different path for a scalar exponent than
+    for an array of exponents (a scalar 2.0 is exactly ``x * x``), so both
+    call shapes are covered: ``_powers`` and ``weight_factor`` take a
+    scalar exponent, the ``base^{e(j)}`` of ``_pattern_sum`` an array.  A
+    numpy build that fails here needs a per-element power kernel again."""
+
+    @staticmethod
+    def _shifted(fn, block):
+        # the rows behind one extra row, and the same rows as a view that
+        # starts one element into its buffer
+        padded = np.concatenate([block[:1], block])
+        return fn(padded)[1:], fn(padded[1:])
+
+    def _check_rows(self, fn, block):
+        whole = fn(block)
+        for shifted in self._shifted(fn, block):
+            assert np.array_equal(shifted, whole)
+        for i in range(len(block)):
+            assert np.array_equal(fn(block[i:i + 1])[0], whole[i])
+
+    @pytest.mark.parametrize("alpha", POWER_ALPHAS)
+    def test_powers(self, alpha):
+        rng = np.random.default_rng(21)
+        for rows in POWER_LENGTHS:
+            for m in range(1, 10):
+                values = 1.0 - rng.random((rows, m))
+                self._check_rows(lambda v: _powers(v, alpha)[0], values)
+
+    @pytest.mark.parametrize("alpha", POWER_ALPHAS)
+    def test_weight_factor(self, alpha):
+        rng = np.random.default_rng(22)
+        for rows in POWER_LENGTHS:
+            self._check_rows(lambda k: weight_factor(alpha, k), 1.0 - rng.random(rows))
+
+    @pytest.mark.parametrize("exponent", ["hamming", "ladder"])
+    @pytest.mark.parametrize("alpha", POWER_ALPHAS)
+    def test_pattern_sum(self, alpha, exponent):
+        rng = np.random.default_rng(23)
+        for rows in POWER_LENGTHS:
+            for m in range(1, 10):
+                # one weight factor per row (negative for alpha < 0) and
+                # the powers beside it, as evaluate_block passes them
+                rows_in = np.column_stack([weight_factor(alpha, 1.0 - rng.random(rows)),
+                                           1.0 - rng.random((rows, m))])
+                self._check_rows(lambda r: _pattern_sum(r[:, 1:], r[:, 0], exponent), rows_in)
+                self._check_rows(lambda r: _pattern_sum(r[:, 1:], alpha, exponent), rows_in)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 9])
+    def test_block_columns_equal_rows_alone(self, m):
+        rng = np.random.default_rng(24 + m)
+        rows = 37
+        values = -np.sort(-rng.random((rows, m)) ** np.arange(1, m + 1), axis=1)
+        values[::5, -1] = 0.0  # rows where negative powers are undefined
+        lhs = values.sum(axis=1) * rng.uniform(0.5, 1.5, rows)
+        tails = np.cumsum(values[:, :0:-1], axis=1)[:, ::-1] * rng.uniform(0.5, 1.0, (rows, m - 1))
+        for kind in MeasureKind:
+            block = MeasureBlock(values, kind, lhs, tails if kind is MeasureKind.SCRENOA else None)
+            keys = [(relation, alpha) for relation, spec in REGISTRY.items() if spec.kind is kind
+                    for alpha in POWER_ALPHAS if spec.alpha_range.contains(alpha)]
+            for cols in evaluate_block(block, keys):
+                for i in range(rows):
+                    assert cols.report(i) == evaluate_relation(block.row(i), cols.relation, cols.alpha)
