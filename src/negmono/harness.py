@@ -2,10 +2,14 @@
 
 Analysis runs on blocks of states, each held as one amplitude stack
 ``(rows, d)`` from start to finish.  :func:`run_campaign` walks its
-samples in fixed blocks of ``_BLOCK`` indices; each block is drawn in
-one pass (:func:`sample_block`) and analysed at once, and no projector
-stack is ever built.  The amplitudes are checked once, as
-:class:`~negmono.states.PureState` checks one vector.  The full-cut
+samples in fixed blocks of ``_BLOCK`` indices.  Each block is drawn in
+one pass (:func:`sample_block`): the keyed streams of all its samples
+are derived at once and drawn through one generator, so no
+``SeedSequence`` or generator is built per sample, and every row is the
+draw numpy's own ``SeedSequence(seed, spawn_key=(i,))`` gives.  The
+block is then analysed at once, and no projector stack is ever built.
+The amplitudes are checked once, as :class:`~negmono.states.PureState`
+checks one vector.  The full-cut
 values come from one batched SVD.  A two-qubit pair rho_{0j} forms no
 marginal: :func:`negmono.measures.two_qubit_block` takes the amplitude
 matrices across (0, j)|rest as factors of rho_{0j}, which a checked
@@ -13,23 +17,24 @@ amplitude row makes a valid state by construction.  Every other marginal
 rho_{0j}, and every collective tail, is taken straight from the
 amplitudes (:func:`~negmono.states.marginal_block`) and its stack checked
 as :class:`~negmono.states.DensityMatrix` checks one matrix.  A block's
-relations are evaluated as columns by
-:func:`negmono.relations.evaluate_block`.  For density stacks, which
-method gives a measure value is decided in one place,
-:func:`negmono.measures.squared_roof_block` (two-qubit closed forms, then
-the pure-state formula, then the roof): this module hands it each
-non-qubit pair's stack, and the collective tails of a block grouped by
-their reduced dims, one SCRENoA stack per group.  So
-the roof rows of a marginal, or of a tail group, run in one
+relations are evaluated by :func:`negmono.relations.evaluate_grids`,
+each relation once over its whole alpha grid as ``(alphas, rows)``
+columns, and folded into the tallies one relation at a time.  For
+density stacks, which method gives a measure value is decided in one
+place, :func:`negmono.measures.squared_roof_block` (two-qubit closed
+forms, then the pure-state formula, then the roof): this module hands it
+each non-qubit pair's stack, and the collective tails of a block grouped
+by their reduced dims, one SCRENoA stack per group.  So the roof rows of
+a marginal, or of a tail group, run in one
 :func:`negmono.roof.optimize_roof_block` call, as one array program,
 and no row's value depends on its batch.  :func:`analyze` is the block
 of one state, so a campaign and a single analysis share every float:
 reports do not depend on the block size.  Batching keeps each value bit
-for bit on one numpy build: every power is one ``np.power`` call over
-the block, which gives each row the value it gives that row alone, and
-every sum over a state's values adds left to right from zero.  A
-campaign's memory does not grow with its sample count: a 5-qubit
-campaign peaks near 1.3 MB (traced).
+for bit on one numpy build: every power is a ``np.power`` call over the
+block with one alpha, which gives each row the value it gives that row
+alone, and every sum over a state's values adds left to right from
+zero.  A campaign's memory does not grow with its sample count: a
+5-qubit campaign peaks near 1.3 MB (traced).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 # scren, screnoa, pure_scren and two_qubit_tangle_and_toa are the one-state
-# forms of squared_roof_block, haar_random_pure that of haar_amplitudes;
+# forms of squared_roof_block, haar_random_pure that of the Haar samplers;
 # density and partial_trace have no library caller left.  All stay bound
 # here, where the benchmark's tracer wraps each layer
 from .measures import (  # noqa: F401
@@ -64,15 +69,15 @@ from .relations import (
     RelationId,
     RelationReport,
     REGISTRY,
-    ReportColumns,
+    ReportGrid,
     check_alpha,
-    evaluate_block,
+    evaluate_grids,
     evaluate_relation,
     row_sum,
 )
 from .roof import Direction, RoofConfig
 from .states import (Bipartition, PureState, check_density_block, check_pure_block,
-                     cut_matrices, haar_amplitudes, ket, marginal_block, validate_dims)
+                     cut_matrices, keyed_haar_amplitudes, ket, marginal_block, validate_dims)
 
 # states per block of run_campaign: no projector stack is built, so a
 # block's largest array at five qubits is one marginal's 512 kB of
@@ -349,15 +354,27 @@ class RelationStats:
             return None
         return math.fsum(total.partials) / total.count
 
-    def absorb(self, cols: ReportColumns) -> None:
-        """Fold in a block's rows, as if they came one by one."""
-        evaluated = cols.evaluated
-        self.condition_pass += int(cols.condition.sum())
-        self.evaluated += int(evaluated.sum())
-        self.violations += int((evaluated & ~cols.satisfied).sum())
-        self.worst_gap = _worst(self.worst_gap, cols.gap[evaluated])
-        tightness = cols.tightness[evaluated]
-        self._tightness_values.extend(tightness[~np.isnan(tightness)].tolist())
+
+def _absorb(stats: list[RelationStats], grid: ReportGrid) -> None:
+    """Fold a block's rows into ``stats``, the stats of each alpha of
+    ``grid`` in order, as if the rows came one by one."""
+    evaluated = grid.evaluated
+    gaps = np.where(evaluated, grid.gap, np.inf)
+    worst = gaps[np.arange(len(gaps)), gaps.argmin(axis=1)]  # the first of equals
+    tightness = grid.tightness
+    counted = evaluated & ~np.isnan(tightness)
+    tight = tightness[counted].tolist()
+    ends = np.cumsum(counted.sum(axis=1)).tolist()
+    for st, passed, n_evaluated, n_violated, low, begin, end in zip(
+            stats, grid.condition.sum(axis=1).tolist(), evaluated.sum(axis=1).tolist(),
+            grid.violated.sum(axis=1).tolist(), worst.tolist(), [0] + ends[:-1], ends):
+        st.condition_pass += passed
+        st.evaluated += n_evaluated
+        st.violations += n_violated
+        if n_evaluated and (st.worst_gap is None or low < st.worst_gap):
+            st.worst_gap = low
+        if end > begin:
+            st._tightness_values.extend(tight[begin:end])
 
 
 def _worst(current: float | None, gaps: np.ndarray) -> float | None:
@@ -420,14 +437,17 @@ class CampaignReport:
 def sample_block(config: CampaignConfig, start: int, stop: int) -> np.ndarray:
     """The amplitudes of samples ``start`` to ``stop - 1``, one row each:
     sample i is a Haar draw from the stream keyed on (seed, i),
-    independent of every other sample."""
-    seeds = [np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)) for i in range(start, stop)]
-    return haar_amplitudes(math.prod(config.dims), seeds)
+    ``SeedSequence(seed, spawn_key=(i,))``, independent of every other
+    sample.  ``start`` and ``stop`` must be integers with
+    ``0 <= start <= stop``; anything else raises ``ValueError``."""
+    return keyed_haar_amplitudes(math.prod(config.dims), config.seed, start, stop)
 
 
 def sample_state(config: CampaignConfig, index: int) -> PureState:
-    """The exact state of sample ``index``, the one-row case of
-    :func:`sample_block`."""
+    """The exact state of sample ``index``, an integer >= 0: the one-row
+    case of :func:`sample_block`."""
+    if not _is_int(index):
+        raise ValueError(f"sample index must be an integer, got {index!r}")
     return PureState(sample_block(config, index, index + 1)[0], config.dims)
 
 
@@ -436,8 +456,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     Deterministic given the config: each sample is drawn from a stream
     keyed on (seed, sample index).  Samples run in index order, in blocks
-    of ``_BLOCK``; violations are recorded in (sample, relation, alpha)
-    order and the report does not depend on the block size.
+    of ``_BLOCK``, and each relation over its alpha grid at once;
+    violations are recorded in (sample, relation, alpha) order and the
+    report does not depend on the block size.
     """
     needs_tails = RelationId.MONO_LADDER_NEG_COLLECTIVE in config.relations
     stats = {
@@ -455,14 +476,14 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         baseline.absorb(*blocks)
         found = []
         for block in blocks:
-            for cols in evaluate_block(block, keys_of[block.kind], config.k_policy):
-                key = (cols.relation, cols.alpha)
-                stats[key].absorb(cols)
-                for row in np.flatnonzero(cols.evaluated & ~cols.satisfied).tolist():
-                    record = ViolationRecord(cols.relation, cols.alpha, start + row,
-                                             float(cols.gap[row]), float(block.lhs[row]),
+            for grid in evaluate_grids(block, keys_of[block.kind], config.k_policy):
+                cells = [stats[grid.relation, alpha] for alpha in grid.alphas]
+                _absorb(cells, grid)
+                for i, row in zip(*(axis.tolist() for axis in np.nonzero(grid.violated))):
+                    record = ViolationRecord(grid.relation, grid.alphas[i], start + row,
+                                             float(grid.gap[i, row]), float(block.lhs[row]),
                                              tuple(block.values[row].tolist()))
-                    found.append((row, order[key], record))
+                    found.append((row, order[grid.relation, grid.alphas[i]], record))
         violations += [record for *_, record in sorted(found, key=lambda f: f[:2])]
     return CampaignReport(
         config=config,
@@ -614,8 +635,33 @@ def campaign_report_dict(report: CampaignReport) -> dict:
     }
 
 
+def _float(value) -> str:
+    """:func:`_fmt` of a float or None."""
+    return "null" if value is None else format(float(value), ".17g")
+
+
 def campaign_report_json(report: CampaignReport) -> str:
-    return _fmt(campaign_report_dict(report)) + "\n"
+    """``_fmt(campaign_report_dict(report))`` and a newline, byte for byte.
+
+    The relation and violation rows, most of a report, are written flat,
+    one format string per row, rather than through ``_fmt``'s recursion
+    over a dict per row."""
+    head = campaign_report_dict(CampaignReport(report.config, [], report.baseline, []))
+    relations = ",".join(
+        f'{{"relation":{_fmt(s.relation.value)},"alpha":{_float(s.alpha)},'
+        f'"evaluated":{int(s.evaluated)},"condition_pass":{int(s.condition_pass)},'
+        f'"violations":{int(s.violations)},"worst_gap":{_float(s.worst_gap)},'
+        f'"mean_tightness_delta":{_float(s.mean_tightness_delta)}}}'
+        for s in report.stats
+    )
+    violations = ",".join(
+        f'{{"relation":{_fmt(v.relation.value)},"alpha":{_float(v.alpha)},'
+        f'"sample_index":{int(v.sample_index)},"gap":{_float(v.gap)},"lhs":{_float(v.lhs)},'
+        f'"values":[{",".join(map(_float, v.values))}]}}'
+        for v in report.violations
+    )
+    return (f'{{"config":{_fmt(head["config"])},"baseline":{_fmt(head["baseline"])},'
+            f'"relations":[{relations}],"violations":[{violations}]}}\n')
 
 
 CAMPAIGN_CSV_HEADER = (

@@ -35,16 +35,21 @@ reorders an input vector itself).
 Column kernel
 -------------
 Relations are evaluated as array columns over the rows of a
-:class:`MeasureBlock`, one row per state.  :func:`evaluate_block` takes
-every ``(relation, alpha)`` key of a campaign at once: it computes k and
-the condition once per (condition mode, weighted), since neither depends
-on alpha, and the powers ``v_j^alpha`` once per alpha.
-:func:`evaluate_relation`, :func:`admissible_k` and the ``bound_*``
-functions are its one-row case, so there is no second scalar path.
+:class:`MeasureBlock`, one row per state.  :func:`evaluate_grids` takes
+every ``(relation, alpha)`` key of a campaign at once, checks them all
+first, and runs each relation once over its whole alpha grid as an
+``(alphas, rows, ...)`` program (a :class:`ReportGrid`).  It computes k
+and the condition once per (condition mode, weighted), since neither
+depends on alpha, and the powers ``v_j^alpha`` and the baseline sums
+once per alpha grid.  :func:`evaluate_block` gives the same columns one
+key at a time, and :func:`evaluate_relation`, :func:`admissible_k` and
+the ``bound_*`` functions are its one-row case, so there is no second
+scalar path.
 
-A row's columns do not depend on its block or its position there, which
-keeps campaign reports byte-identical across reruns and block sizes on
-one numpy build.  Every power is one ``np.power`` call over the block,
+A row's columns do not depend on its block, its position there or the
+other alphas of its grid, which keeps campaign reports byte-identical
+across reruns and block sizes on one numpy build.  Every power is a
+``np.power`` call over the block with one alpha (:func:`_stack_power`),
 whose loop gives each element the value it gives that element alone,
 and every sum adds its terms left to right from zero, as Python 3.11's
 ``sum`` of floats does.  The powers are numpy's, not Python's ``**``:
@@ -266,8 +271,15 @@ def weight_factor(alpha: float, k):
     k = np.asarray(k, dtype=float)
     if not ((0.0 < k) & (k <= 1.0)).all():
         raise ValueError(f"k must lie in (0, 1], got {k}")
-    factor = (np.power(1.0 + k, alpha) - 1.0) / np.power(k, alpha)
+    factor = _weight_factors((alpha,), k)[0]
     return factor if factor.ndim else float(factor)
+
+
+def _weight_factors(alphas, k: np.ndarray) -> np.ndarray:
+    """The weight factor at each of ``alphas``, already checked, for every
+    k of an array in (0, 1]: shape ``(alphas,) + k.shape``."""
+    return ((_stack_power([(1.0 + k, alpha) for alpha in alphas], k.shape) - 1.0)
+            / _stack_power([(k, alpha) for alpha in alphas], k.shape))
 
 
 def _one_flag(flags):
@@ -353,41 +365,62 @@ def admissible_k(values, mode: ConditionMode) -> float | None:
     return float(k[0]) if has_k[0] else None
 
 
-def _powers(values: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``v_j^alpha`` of every row, and whether the row has them: 0^alpha
-    is undefined for alpha <= 0, so such a row's relation is not
-    applicable."""
-    if alpha > 0.0:
-        return np.power(values, alpha), np.ones(len(values), dtype=bool)
+def _stack_power(calls, shape: tuple) -> np.ndarray:
+    """``np.power(base, exponent)`` of every ``(base, exponent)`` of
+    ``calls``, each of the given result shape, stacked on a leading axis.
+
+    Each is its own call, the one a single alpha makes, so an alpha grid
+    gives every element the bits it gets alone.  One broadcast call over
+    ``(alphas,) + shape`` would not: numpy 2.4 buffers the stride-0
+    exponent of some such calls (a 7x3 block from three alphas on) into
+    a full array.  That skips the scalar-exponent loop's exact cases
+    (2.0 is ``x * x``, 0.5 a square root, -1.0 a reciprocal) for the SIMD
+    ``pow``, whose last bits differ on a few percent of values."""
+    out = np.empty((len(calls),) + shape)
+    for i, (base, exponent) in enumerate(calls):
+        np.power(base, exponent, out=out[i, ...])
+    return out
+
+
+def _powers(values: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """``v_j^alpha`` of every row (rows, m) at each of ``alphas``, shape
+    (alphas, rows, m), and whether the row has them, (alphas, rows):
+    0^alpha is undefined for alpha <= 0, so such a row's relation is not
+    applicable there."""
     defined = (values > POS_EPS).all(axis=-1)
-    return np.power(np.where(defined[:, None], values, 1.0), alpha), defined
+    guarded = np.where(defined[:, None], values, 1.0)
+    powers = _stack_power([(values if alpha > 0.0 else guarded, alpha) for alpha in alphas],
+                          values.shape)
+    return powers, defined | (np.asarray(alphas) > 0.0)[:, None]
 
 
-def _pattern_sum(powers: np.ndarray, base, exponent: str) -> np.ndarray:
-    """``sum_j base^{e(j)} v_j^alpha`` per row, with e = w_H (``"hamming"``)
-    or the index itself (``"ladder"``): the one shape of every bound but
-    the average one.  ``base`` is a number or one per row."""
+def _pattern_sum(powers: np.ndarray, base: np.ndarray, exponent: str) -> np.ndarray:
+    """``sum_j base^{e(j)} v_j^alpha`` per alpha and row, with e = w_H
+    (``"hamming"``) or the index itself (``"ladder"``): the one shape of
+    every bound but the average one.  ``powers`` is (alphas, rows, m),
+    ``base`` (alphas, rows) or, one number per alpha, (alphas, 1)."""
+    m = powers.shape[-1]
     e = hamming_weight if exponent == "hamming" else (lambda j: j)
-    coefs = np.power(np.asarray(base)[..., None],
-                     np.array([e(j) for j in range(powers.shape[1])], dtype=float))
+    exponents = np.array([e(j) for j in range(m)], dtype=float)
+    coefs = _stack_power([(row[..., None], exponents) for row in base], base.shape[1:] + (m,))
     total = 0.0
-    for j in range(powers.shape[1]):
-        total = total + coefs[..., j] * powers[:, j]
+    for j in range(m):
+        total = total + coefs[..., j] * powers[..., j]
     return total
 
 
 def _mean(powers: np.ndarray) -> np.ndarray:
     """The average relation's bound per row: the mean of ``v_j^alpha``."""
-    return row_sum(powers) / powers.shape[1]
+    return row_sum(powers) / powers.shape[-1]
 
 
 def _bound_row(values, alpha: float, base, exponent: str) -> float | None:
-    powers, defined = _powers(np.array([values], dtype=float, ndmin=2), alpha)
-    if not defined[0]:
+    powers, defined = _powers(np.array([values], dtype=float, ndmin=2), (alpha,))
+    if not defined[0, 0]:
         return None
     if exponent == "average":
-        return float(_mean(powers)[0])
-    return float(_pattern_sum(powers, base, exponent)[0])
+        return float(_mean(powers)[0, 0])
+    return float(_pattern_sum(powers, np.reshape(base, (1, 1)), exponent)[0, 0])
 
 
 def bound_hamming(values, alpha: float, k: float) -> float | None:
@@ -450,11 +483,29 @@ class RelationReport:
     tightness_delta: float | None
 
 
+class _GapColumns:
+    """What follows from a relation's columns, of any shape: ``gap`` is
+    NaN exactly on the rows that are not evaluated."""
+
+    @property
+    def evaluated(self) -> np.ndarray:
+        return ~np.isnan(self.gap)
+
+    @property
+    def violated(self) -> np.ndarray:
+        """The evaluated rows whose gap is below -SAT_TOL."""
+        return self.gap < -SAT_TOL
+
+    @property
+    def tightness(self) -> np.ndarray:
+        return (self.rhs - self.kim_rhs) if REGISTRY[self.relation].geq else (self.kim_rhs - self.rhs)
+
+
 @dataclass(frozen=True)
-class ReportColumns:
+class ReportColumns(_GapColumns):
     """One relation at one alpha over the rows of a :class:`MeasureBlock`:
     the fields of :class:`RelationReport` as columns, NaN where a report
-    has None.  ``gap`` is NaN exactly on the rows that are not evaluated.
+    has None.
     """
 
     relation: RelationId
@@ -465,19 +516,6 @@ class ReportColumns:
     rhs: np.ndarray
     kim_rhs: np.ndarray
     gap: np.ndarray
-
-    @property
-    def evaluated(self) -> np.ndarray:
-        return ~np.isnan(self.gap)
-
-    @property
-    def satisfied(self) -> np.ndarray:
-        """Meaningful on evaluated rows only (False elsewhere)."""
-        return self.gap >= -SAT_TOL
-
-    @property
-    def tightness(self) -> np.ndarray:
-        return (self.rhs - self.kim_rhs) if REGISTRY[self.relation].geq else (self.kim_rhs - self.rhs)
 
     def report(self, i: int) -> RelationReport:
         def pick(column):
@@ -497,6 +535,28 @@ class ReportColumns:
             kim_rhs=pick(self.kim_rhs),
             tightness_delta=pick(self.tightness),
         )
+
+
+@dataclass(frozen=True)
+class ReportGrid(_GapColumns):
+    """One relation over an alpha grid on the rows of a block: the
+    :class:`ReportColumns` of each alpha stacked on a leading axis,
+    ``(alphas, rows)``, but ``k``, which does not depend on alpha and is
+    one column ``(rows,)``."""
+
+    relation: RelationId
+    alphas: tuple[float, ...]
+    k: np.ndarray
+    condition: np.ndarray
+    lhs_pow: np.ndarray
+    rhs: np.ndarray
+    kim_rhs: np.ndarray
+    gap: np.ndarray
+
+    def columns(self, i: int) -> ReportColumns:
+        """The columns at ``alphas[i]``."""
+        return ReportColumns(self.relation, self.alphas[i], self.k, self.condition[i],
+                             self.lhs_pow[i], self.rhs[i], self.kim_rhs[i], self.gap[i])
 
 
 def _explicit_k(k_policy) -> float | None:
@@ -537,18 +597,25 @@ def _k_and_condition(block: MeasureBlock, spec: RelationSpec, explicit_k: float 
     return k, has_k, holds & has_k
 
 
-def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportColumns]:
+def evaluate_grids(block: MeasureBlock, keys, k_policy="auto") -> list[ReportGrid]:
     """Evaluate every ``(relation, alpha)`` of ``keys`` on the rows of
-    ``block``, one :class:`ReportColumns` per key in order.
+    ``block``: one :class:`ReportGrid` per relation, in order of first
+    appearance, over its alphas in key order.
 
-    ``k_policy`` is ``"auto"`` (minimal admissible k per row) or an
-    explicit float in (0, 1], checked first for every relation.
-    Out-of-range alpha and a mismatched measure kind are errors; an
-    unsatisfiable hypothesis yields a not-evaluated row, not an error.
+    Every alpha, the kinds and ``k_policy`` (``"auto"``, the minimal
+    admissible k per row, or an explicit float in (0, 1], checked for
+    every relation) are checked first, once.  Out-of-range alpha and a
+    mismatched measure kind are errors; an unsatisfiable hypothesis
+    yields a not-evaluated row, not an error.  Each relation runs once
+    over its grid: k and the condition once per (condition mode,
+    weighted), since neither depends on alpha, and the powers and the
+    baseline sums once per alpha grid.
     """
     explicit_k = _explicit_k(k_policy)
-    keys = [(relation, check_alpha(alpha, relation)) for relation, alpha in keys]
-    for relation, _ in keys:
+    grids: dict[RelationId, list[float]] = {}
+    for relation, alpha in keys:
+        grids.setdefault(relation, []).append(check_alpha(alpha, relation))
+    for relation in grids:
         spec = REGISTRY[relation]
         if block.kind is not spec.kind:
             raise ValueError(
@@ -558,51 +625,71 @@ def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportCol
             raise ValueError("the collective-tail relation needs MeasureVector.tail_values")
 
     vals, lhs = block.values, block.lhs
+    rows = len(vals)
+    lhs_positive = lhs > POS_EPS
+    guarded_lhs = np.where(lhs_positive, lhs, 1.0)
     # the alpha <= 0 hypothesis: every value and the full-cut value nonzero
-    positive = (vals > POS_EPS).all(axis=1) & (lhs > POS_EPS)
+    positive = (vals > POS_EPS).all(axis=1) & lhs_positive
     conditions: dict = {}  # (condition mode, weighted) -> (k, has_k, holds)
-    powers: dict = {}  # alpha -> (powers, defined, lhs_pow, has_lhs_pow)
-    baselines: dict = {}  # (alpha, exponent) -> the pattern sum at base alpha
+    powers: dict = {}  # alphas -> (powers, defined, lhs_pow, has_lhs_pow)
+    baselines: dict = {}  # (alphas, exponent) -> the pattern sums at base alpha
     out = []
-    for relation, alpha in keys:
+    for relation, alphas in grids.items():
+        alphas = tuple(alphas)
         spec = REGISTRY[relation]
         if (spec.condition, spec.weighted) not in conditions:
             conditions[spec.condition, spec.weighted] = _k_and_condition(block, spec, explicit_k)
         k, has_k, holds = conditions[spec.condition, spec.weighted]
-        if alpha <= 0.0:
-            holds = holds & positive
-        if alpha not in powers:
-            has_lhs_pow = (lhs > POS_EPS) | (alpha > 0.0)
-            powers[alpha] = _powers(vals, alpha) + (
-                np.power(np.where(has_lhs_pow, lhs, 1.0), alpha), has_lhs_pow)
-        pows, defined, lhs_pow, has_lhs_pow = powers[alpha]
+        column = np.array(alphas)[:, None]  # one alpha per row of a grid
+        holds = holds & (positive | (column > 0.0))
+        if alphas not in powers:
+            lhs_pow = _stack_power([(lhs if alpha > 0.0 else guarded_lhs, alpha) for alpha in alphas],
+                                   lhs.shape)
+            powers[alphas] = _powers(vals, alphas) + (lhs_pow, lhs_positive | (column > 0.0))
+        pows, defined, lhs_pow, has_lhs_pow = powers[alphas]
 
-        kim_rhs = np.full(len(vals), np.nan)
+        kim_rhs = np.full((len(alphas), rows), np.nan)
         if spec.exponent == "average":
             rhs, has_rhs = _mean(pows), defined
         else:
-            if (alpha, spec.exponent) not in baselines:
-                baselines[alpha, spec.exponent] = _pattern_sum(pows, alpha, spec.exponent)
+            if (alphas, spec.exponent) not in baselines:
+                baselines[alphas, spec.exponent] = _pattern_sum(pows, column, spec.exponent)
+            baseline = baselines[alphas, spec.exponent]
             if spec.weighted:
-                rhs = _pattern_sum(pows, weight_factor(alpha, np.where(has_k, k, 1.0)), spec.exponent)
-                if alpha >= 0.0:
-                    kim_rhs = np.where(defined, baselines[alpha, spec.exponent], np.nan)
+                factors = _weight_factors(alphas, np.where(has_k, k, 1.0))
+                rhs = _pattern_sum(pows, factors, spec.exponent)
+                # the baseline a weighted relation tightens is stated for alpha >= 0
+                kim_rhs = np.where(defined & (column >= 0.0), baseline, np.nan)
             else:
-                rhs = baselines[alpha, spec.exponent]
+                rhs = baseline
             has_rhs = defined & has_k
 
         evaluated = holds & has_rhs & has_lhs_pow
         gap = (lhs_pow - rhs) if spec.geq else (rhs - lhs_pow)
-        out.append(ReportColumns(
+        out.append(ReportGrid(
             relation=relation,
-            alpha=alpha,
-            k=np.where(has_k, k, np.nan) if spec.weighted else np.full(len(vals), np.nan),
+            alphas=alphas,
+            k=np.where(has_k, k, np.nan) if spec.weighted else np.full(rows, np.nan),
             condition=holds,
             lhs_pow=np.where(has_lhs_pow, lhs_pow, np.nan),
             rhs=np.where(has_rhs, rhs, np.nan),
             kim_rhs=kim_rhs,
             gap=np.where(evaluated, gap, np.nan),
         ))
+    return out
+
+
+def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportColumns]:
+    """Evaluate every ``(relation, alpha)`` of ``keys`` on the rows of
+    ``block``, one :class:`ReportColumns` per key in order: the columns
+    of :func:`evaluate_grids`, which checks the arguments."""
+    keys = list(keys)
+    grids = {grid.relation: grid for grid in evaluate_grids(block, keys, k_policy)}
+    taken = dict.fromkeys(grids, 0)
+    out = []
+    for relation, _ in keys:
+        out.append(grids[relation].columns(taken[relation]))
+        taken[relation] += 1
     return out
 
 

@@ -12,6 +12,7 @@ function, so concurrent use needs no locking.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from math import prod
 
@@ -314,18 +315,149 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).sum())
 
 
+def _haar_rows(d: int, generators) -> np.ndarray:
+    """The draw-and-normalize body of the Haar samplers: row i is the
+    next ``2 d`` standard normals of the i-th generator (real parts, then
+    imaginary parts) divided by their norm, a stack ``(rows, d)``.
+
+    The norm is ``np.linalg.norm``'s, bit for bit: the square root of the
+    dot products of the real parts and of the imaginary parts, each a
+    BLAS dot over the stride-2 views of a complex row.  ``np.vecdot``
+    (numpy 2.0 on) runs that same dot per row, where ``einsum`` and a
+    row sum add in another order."""
+    draws = [rng.standard_normal(2 * d) for rng in generators]
+    g = np.reshape(draws, (-1, 2, d))
+    z = g[:, 0] + 1j * g[:, 1]
+    re, im = z.real, z.imag
+    return z / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+
+
 def haar_amplitudes(d: int, seeds) -> np.ndarray:
     """Haar-distributed unit vectors in C^d, one row per seed: a stack
     ``(rows, d)``.
 
-    Row i is drawn from ``numpy.random.default_rng(seeds[i])`` alone (real
-    parts, then imaginary parts) and divided by its own norm, so it does
-    not depend on the other rows.
+    Row i is drawn from ``numpy.random.default_rng(seeds[i])`` alone, so
+    it does not depend on the other rows.  Normalizing uses
+    ``np.vecdot``, so this needs numpy 2.0 or later.
     """
-    draws = [np.random.default_rng(seed).standard_normal(2 * d) for seed in seeds]
-    g = np.reshape(draws, (-1, 2, d))
-    z = g[:, 0] + 1j * g[:, 1]
-    return z / np.reshape([np.linalg.norm(row) for row in z], (-1, 1))
+    return _haar_rows(d, (np.random.default_rng(seed) for seed in seeds))
+
+
+# numpy's SeedSequence (NEP 19): its pool size, the uint32 hash constants
+# of its entropy mix (A) and of generate_state (B), and its mix
+# multipliers; then the multiplier of PCG64's 128-bit LCG
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian uint32 words of ``n >= 0`` (0 is one word), as
+    SeedSequence reads an integer."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, n: int, init: int = _INIT_A, mult: int = _MULT_A):
+    """SeedSequence's n-th hashmix of a uint32 ``value``: its running hash
+    constant depends on n alone.  ``value`` is an int or a uint64 array of
+    uint32 values, one per row; the result is of the same kind."""
+    xor = init * pow(mult, n, 1 << 32) & _MASK32
+    value = (value ^ xor) * (xor * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return out ^ out >> 16
+
+
+def _mix_in(pool: list, words, n: int) -> int:
+    """Mix ``words`` in turn into every pool word, as SeedSequence mixes
+    entropy beyond its pool, numbering the hashmix calls from n; returns
+    the next call number."""
+    for word in words:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, n))
+            n += 1
+    return n
+
+
+def _keyed_pcg64_states(entropy: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``default_rng(SeedSequence(entropy,
+    spawn_key=(i,)))`` starts from, for i from ``start`` to ``stop - 1``.
+
+    The entropy's words are mixed once; each key word then goes into a
+    uint64 array of every row's pool, where products of two uint32 values
+    do not overflow.  The rows run in spans that share the key's words
+    above the lowest, so a span's keys have one word count.  PCG64 seeds
+    from ``generate_state(4, uint64)``: the first two words are s, the
+    last two t, and its state is ``(inc + s) * MULT + inc`` mod 2**128
+    with ``inc = 2 t + 1``."""
+    run = _uint32_words(entropy)
+    run += [0] * (_POOL - len(run))  # a spawn key pads the entropy to the pool
+    pool = [_hashmix(word, n) for n, word in enumerate(run[:_POOL])]
+    n = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], n))
+                n += 1
+    n = _mix_in(pool, run[_POOL:], n)
+
+    states = []
+    while start < stop:
+        high = start >> 32
+        end = min(stop, (high + 1) << 32)
+        low = np.arange(start & _MASK32, (start & _MASK32) + end - start, dtype=np.uint64)
+        rows = [np.full(end - start, word, dtype=np.uint64) for word in pool]
+        _mix_in(rows, [low] + (_uint32_words(high) if high else []), n)
+        out = [_hashmix(rows[i % _POOL], i, _INIT_B, _MULT_B) for i in range(8)]
+        s_hi, s_lo, t_hi, t_lo = ((out[2 * i] | out[2 * i + 1] << 32).tolist() for i in range(4))
+        for s_hi_i, s_lo_i, t_hi_i, t_lo_i in zip(s_hi, s_lo, t_hi, t_lo):
+            inc = (t_hi_i << 64 | t_lo_i) << 1 & _MASK128 | 1
+            states.append(((inc + (s_hi_i << 64 | s_lo_i)) * _PCG64_MULT + inc & _MASK128, inc))
+        start = end
+    return states
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def keyed_haar_amplitudes(d: int, entropy: int, start: int, stop: int) -> np.ndarray:
+    """Haar-distributed unit vectors in C^d for the stream keys ``start``
+    to ``stop - 1`` of ``entropy``, one row each: row i - start is the
+    draw of :func:`haar_amplitudes` from the seed
+    ``SeedSequence(entropy, spawn_key=(i,))``, bit for bit.
+
+    The streams are derived in one pass (:func:`_keyed_pcg64_states`) and
+    drawn through one generator whose state is set per row, so no
+    SeedSequence or generator is built per row.  ``entropy``, ``start``
+    and ``stop`` must be integers (not bools) with ``entropy >= 0`` and
+    ``0 <= start <= stop``.
+    """
+    if not (_is_index(start) and _is_index(stop) and 0 <= start <= stop):
+        raise ValueError(f"stream keys must be integers 0 <= start <= stop, "
+                         f"got start={start!r}, stop={stop!r}")
+    if not (_is_index(entropy) and entropy >= 0):
+        raise ValueError(f"entropy must be an integer >= 0, got {entropy!r}")
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+
+    def streams():
+        for state, inc in _keyed_pcg64_states(int(entropy), int(start), int(stop)):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+    return _haar_rows(d, streams())
 
 
 def haar_random_pure(dims, seed) -> PureState:

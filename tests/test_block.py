@@ -250,6 +250,55 @@ def test_sample_block_rows_equal_sample_state():
     assert sample_block(config, 5, 5).shape == (0, 32)
 
 
+def _oracle_row(seed: int, index: int, d: int) -> np.ndarray:
+    # the stream of (seed, index) as numpy builds it, one SeedSequence and
+    # one generator per sample, normalized by np.linalg.norm
+    g = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,))).standard_normal(2 * d)
+    z = g[:d] + 1j * g[d:]
+    return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 3), (2, 2, 2, 2), (3, 3, 3), (2,) * 5, (2,) * 6],
+                         ids=lambda dims: f"d{np.prod(dims)}")
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99],
+                         ids=["0", "2^32-1", "2^32", "2^64+3", "2^130+99"])
+def test_sample_block_rows_equal_numpy_keyed_streams(seed, dims):
+    # sample_block derives every stream of a block in one pass; each row
+    # must be the draw numpy's own SeedSequence gives, to the last bit.
+    # Sample indices from 2**32 on take a two-word spawn key, and a block
+    # across 2**32 mixes both word counts
+    config = CampaignConfig(dims=dims, samples=1, seed=seed)
+    d = int(np.prod(dims))
+    for start, stop in ((0, 40), (2**32 - 2, 2**32 + 2)):
+        block = sample_block(config, start, stop)
+        assert block.shape == (stop - start, d)
+        for row, i in zip(block, range(start, stop)):
+            assert row.tobytes() == _oracle_row(seed, i, d).tobytes(), i
+    psi = sample_state(config, 2**32 + 5)
+    assert psi.amplitudes.tobytes() == _oracle_row(seed, 2**32 + 5, d).tobytes()
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 2.5, "3", None, -1, -2**40])
+def test_sample_state_rejects_a_bad_index(index):
+    config = CampaignConfig(dims=(2, 2, 2), samples=1, seed=3)
+    with pytest.raises(ValueError):
+        sample_state(config, index)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (-3, -1), (5, 4), (True, 3), (0, True),
+                                         (1.0, 3), (0, 3.0), (None, 2)])
+def test_sample_block_rejects_a_bad_range(start, stop):
+    config = CampaignConfig(dims=(2, 2, 2), samples=1, seed=3)
+    with pytest.raises(ValueError):
+        sample_block(config, start, stop)
+
+
+def test_sample_state_takes_numpy_integers():
+    config = CampaignConfig(dims=(2, 2, 2), samples=1, seed=3)
+    assert np.array_equal(sample_state(config, np.int64(9)).amplitudes,
+                          sample_state(config, 9).amplitudes)
+
+
 # the acceptance relations and alphas on qubits: every value comes from
 # the closed forms and the pure-state formula, none from the roof
 QUBIT_CAMPAIGNS = {

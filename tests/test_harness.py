@@ -21,9 +21,14 @@ from negmono import (
 from negmono.cli import main as cli_main
 from negmono.harness import (
     REPORT_CSV_HEADER,
+    BaselineStats,
+    CampaignReport,
     RelationStats,
+    ViolationRecord,
     _ExactSum,
+    _fmt,
     campaign_config_from_dict,
+    campaign_report_dict,
     campaign_report_json,
     relation_report_dict,
     relation_reports_to_csv,
@@ -325,6 +330,31 @@ class TestEmission:
         assert h1 == h2
         emit_report(report, "csv", tmp_path / "a.csv")
         assert (tmp_path / "a.csv").read_text().startswith("relation,alpha,evaluated")
+
+    def test_campaign_json_is_fmt_of_the_report_dict(self):
+        # campaign_report_json writes the relation and violation rows flat;
+        # it must stay byte for byte the generic writer's text of
+        # campaign_report_dict, here with violations, None values, a -0.0,
+        # numpy scalars and a float that needs all 17 digits
+        negative = run_campaign(CampaignConfig(
+            dims=(2, 2, 2, 2), samples=40, seed=20260808, alphas=(-0.5, -1.0),
+            relations=(RelationId.MONO_LADDER_NEG_COLLECTIVE, RelationId.POLY_AVERAGE_NEG),
+            roof=RoofConfig(restarts=2, max_iters=10)))
+        assert negative.violations
+        unevaluated = run_campaign(CampaignConfig(
+            dims=(2, 2, 2, 2, 2), samples=5, seed=15, alphas=(0.5,),
+            relations=(RelationId.POLY_LADDER, RelationId.POLY_HAMMING)))
+        assert any(s.worst_gap is None for s in unevaluated.stats)
+        odd_stats = RelationStats(RelationId.MONO_HAMMING, 2.0, np.int64(3), 2, 1, -0.0)
+        odd_stats._tightness_values.append(1e-300)
+        odd = CampaignReport(
+            unevaluated.config, [odd_stats], BaselineStats(1, np.float64(-1e-9), 0, None),
+            [ViolationRecord(RelationId.MONO_HAMMING, 2.0, np.int64(4), np.float64(-2e-9),
+                             0.1 + 0.2, (1 / 3, 0.0, -0.0))])
+        for report in (negative, unevaluated, odd):
+            text = campaign_report_json(report)
+            assert text == _fmt(campaign_report_dict(report)) + "\n"
+            assert len(json.loads(text)["relations"]) == len(report.stats)
 
     def test_float_serialization_17_digits(self):
         rep = self.make_reports()[0]

@@ -22,7 +22,8 @@ from negmono import (
     weight_factor,
 )
 from negmono.harness import builtin_state, relation_reports_to_json, sweep
-from negmono.relations import REGISTRY, MeasureBlock, _pattern_sum, _powers, evaluate_block
+from negmono.relations import (REGISTRY, MeasureBlock, _pattern_sum, _powers, _weight_factors,
+                               evaluate_block)
 
 
 def scren_vec(values, lhs, tails=None):
@@ -513,7 +514,9 @@ class TestPowerKernelRowInvariance:
     further on.  numpy takes a different path for a scalar exponent than
     for an array of exponents (a scalar 2.0 is exactly ``x * x``), so both
     call shapes are covered: ``_powers`` and ``weight_factor`` take a
-    scalar exponent, the ``base^{e(j)}`` of ``_pattern_sum`` an array.  A
+    scalar exponent, the ``base^{e(j)}`` of ``_pattern_sum`` an array.
+    An alpha grid stacks these calls on a leading axis (alphas, rows, ...)
+    and must give each alpha's slice the bits of that alpha alone.  A
     numpy build that fails here needs a per-element power kernel again."""
 
     @staticmethod
@@ -536,7 +539,7 @@ class TestPowerKernelRowInvariance:
         for rows in POWER_LENGTHS:
             for m in range(1, 10):
                 values = 1.0 - rng.random((rows, m))
-                self._check_rows(lambda v: _powers(v, alpha)[0], values)
+                self._check_rows(lambda v: _powers(v, (alpha,))[0][0], values)
 
     @pytest.mark.parametrize("alpha", POWER_ALPHAS)
     def test_weight_factor(self, alpha):
@@ -551,11 +554,41 @@ class TestPowerKernelRowInvariance:
         for rows in POWER_LENGTHS:
             for m in range(1, 10):
                 # one weight factor per row (negative for alpha < 0) and
-                # the powers beside it, as evaluate_block passes them
+                # the powers beside it, as evaluate_grids passes them
                 rows_in = np.column_stack([weight_factor(alpha, 1.0 - rng.random(rows)),
                                            1.0 - rng.random((rows, m))])
-                self._check_rows(lambda r: _pattern_sum(r[:, 1:], r[:, 0], exponent), rows_in)
-                self._check_rows(lambda r: _pattern_sum(r[:, 1:], alpha, exponent), rows_in)
+                self._check_rows(lambda r: _pattern_sum(r[None, :, 1:], r[None, :, 0], exponent)[0],
+                                 rows_in)
+                self._check_rows(
+                    lambda r: _pattern_sum(r[None, :, 1:], np.array([[alpha]]), exponent)[0], rows_in)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 256])
+    def test_alpha_grid_slices_equal_each_alpha_alone(self, rows):
+        # the alpha-major call shape: each slice of a grid equals the one
+        # scalar-exponent call of its alpha, also where the grid holds
+        # numpy's exact cases (2.0, 0.5, -1.0) and where a block is one
+        # value, on which a broadcast call would loop over the alphas
+        rng = np.random.default_rng(25 + rows)
+        grids = (POWER_ALPHAS, POWER_ALPHAS[::-1], (0.5, 2.0, -1.0), (0.0, 0.25, 1.0))
+        for m in (1, 2, 3, 9):
+            values = 1.0 - rng.random((rows, m))
+            k = 1.0 - rng.random(rows)
+            for alphas in grids:
+                powers, _ = _powers(values, alphas)
+                factors = _weight_factors(alphas, k)
+                for exponent in ("hamming", "ladder"):
+                    sums = _pattern_sum(powers, factors, exponent)
+                    baselines = _pattern_sum(powers, np.array(alphas)[:, None], exponent)
+                    for i, alpha in enumerate(alphas):
+                        one, _ = _powers(values, (alpha,))
+                        assert np.array_equal(powers[i], one[0])
+                        assert np.array_equal(factors[i], weight_factor(alpha, k))
+                        assert np.array_equal(
+                            sums[i], _pattern_sum(one, factors[i:i + 1], exponent)[0])
+                        assert np.array_equal(
+                            baselines[i], _pattern_sum(one, np.array([[alpha]]), exponent)[0])
+                        if alpha > 0.0:
+                            assert np.array_equal(powers[i], np.power(values, alpha))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 9])
     def test_block_columns_equal_rows_alone(self, m):
@@ -572,3 +605,46 @@ class TestPowerKernelRowInvariance:
             for cols in evaluate_block(block, keys):
                 for i in range(rows):
                     assert cols.report(i) == evaluate_relation(block.row(i), cols.relation, cols.alpha)
+
+
+class TestAlphaBatchInvariance:
+    """evaluate_block runs each relation once over its alpha grid; every
+    key's columns must equal, to the last bit, those of the key evaluated
+    alone."""
+
+    FIELDS = ("k", "condition", "lhs_pow", "rhs", "kim_rhs", "gap")
+    ALPHAS = (-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("k_policy", ["auto", 0.7])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_grid_columns_equal_each_key_alone(self, m, k_policy):
+        rng = np.random.default_rng(40 + m)
+        rows = 29
+        values = -np.sort(-rng.random((rows, m)) ** np.arange(1, m + 1), axis=1)
+        values[::4, -1] = 0.0  # rows where negative powers are undefined
+        lhs = values.sum(axis=1) * rng.uniform(0.5, 1.5, rows)
+        lhs[::7] = 0.0
+        tails = np.cumsum(values[:, :0:-1], axis=1)[:, ::-1] * rng.uniform(0.5, 1.0, (rows, m - 1))
+        for kind in MeasureKind:
+            block = MeasureBlock(values, kind, lhs, tails if kind is MeasureKind.SCRENOA else None)
+            keys = [(relation, alpha) for relation, spec in REGISTRY.items() if spec.kind is kind
+                    for alpha in self.ALPHAS if spec.alpha_range.contains(alpha)]
+            relations = {relation for relation, _ in keys}
+            assert relations == {r for r, spec in REGISTRY.items() if spec.kind is kind}
+            together = evaluate_block(block, keys, k_policy)
+            assert len(together) == len(keys)
+            for key, cols in zip(keys, together):
+                (alone,) = evaluate_block(block, [key], k_policy)
+                assert (cols.relation, cols.alpha) == key == (alone.relation, alone.alpha)
+                for name in self.FIELDS:
+                    assert np.array_equal(getattr(cols, name), getattr(alone, name),
+                                          equal_nan=True), (key, name)
+
+    def test_interleaved_and_repeated_keys_keep_their_order(self):
+        block = MeasureVector((0.6, 0.3, 0.1), MeasureKind.SCREN, 1.1).block
+        keys = [(RelationId.MONO_HAMMING, 2.0), (RelationId.MONO_LADDER, 1.0),
+                (RelationId.MONO_HAMMING, 1.5), (RelationId.MONO_HAMMING, 2.0)]
+        together = evaluate_block(block, keys)
+        assert [(c.relation, c.alpha) for c in together] == keys
+        for key, cols in zip(keys, together):
+            assert cols.report(0) == evaluate_relation(block.row(0), *key)
