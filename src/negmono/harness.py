@@ -19,7 +19,8 @@ amplitudes (:func:`~negmono.states.marginal_block`) and its stack checked
 as :class:`~negmono.states.DensityMatrix` checks one matrix.  A block's
 relations are evaluated by :func:`negmono.relations.evaluate_grids`,
 each relation once over its whole alpha grid as ``(alphas, rows)``
-columns, and folded into the tallies one relation at a time.  For
+columns: a campaign folds them into its tallies one relation at a time,
+and :func:`sweep` reads its one state's grid as reports.  For
 density stacks, which method gives a measure value is decided in one
 place, :func:`negmono.measures.squared_roof_block` (two-qubit closed
 forms, then the pure-state formula, then the roof): this module hands it
@@ -40,7 +41,6 @@ zero.  A campaign's memory does not grow with its sample count: a
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -48,9 +48,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 # scren, screnoa, pure_scren and two_qubit_tangle_and_toa are the one-state
-# forms of squared_roof_block, haar_random_pure that of the Haar samplers;
+# forms of squared_roof_block, haar_random_pure that of keyed_haar_amplitudes;
 # density and partial_trace have no library caller left.  All stay bound
-# here, where the benchmark's tracer wraps each layer
+# here, where the benchmark's tracer wraps each layer.  evaluate_relation has
+# no caller here either: it stays bound only for bench/tracing.py, until its
+# tracer wraps the block functions (ROADMAP item 1)
 from .measures import (  # noqa: F401
     pure_negativity_block,
     pure_scren,
@@ -61,6 +63,7 @@ from .measures import (  # noqa: F401
     two_qubit_tangle_and_toa,
 )
 from .states import density, haar_random_pure, partial_trace  # noqa: F401
+from .relations import evaluate_relation  # noqa: F401
 from .relations import (
     SAT_TOL,
     MeasureBlock,
@@ -72,12 +75,11 @@ from .relations import (
     ReportGrid,
     check_alpha,
     evaluate_grids,
-    evaluate_relation,
     row_sum,
 )
 from .roof import Direction, RoofConfig
-from .states import (Bipartition, PureState, check_density_block, check_pure_block,
-                     cut_matrices, keyed_haar_amplitudes, ket, marginal_block, validate_dims)
+from .states import (Bipartition, PureState, check_density_block, check_pure_block, cut_matrices,
+                     is_int, is_real, keyed_haar_amplitudes, ket, marginal_block, validate_dims)
 
 # states per block of run_campaign: no projector stack is built, so a
 # block's largest array at five qubits is one marginal's 512 kB of
@@ -237,28 +239,19 @@ def _analyze_block(amps: np.ndarray, dims: tuple[int, ...], roof_config: RoofCon
     )
 
 
-def vector_for(result: AnalysisResult, relation: RelationId) -> MeasureVector:
-    return result.scren if REGISTRY[relation].kind is MeasureKind.SCREN else result.screnoa
-
-
 def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
           sort_values: bool = False, roof_config: RoofConfig | None = None) -> list[RelationReport]:
-    """One relation over an alpha grid on a single state."""
-    if len(alphas) == 0:
-        raise ValueError(f"the alpha grid for {relation.value} is empty")
+    """One relation over an alpha grid, any iterable, on a single state:
+    the grid is checked before any measure is taken, then evaluated in
+    one :func:`evaluate_grids` call."""
     alphas = [check_alpha(alpha, relation) for alpha in alphas]
+    if not alphas:
+        raise ValueError(f"the alpha grid for {relation.value} is empty")
     needs_tails = relation is RelationId.MONO_LADDER_NEG_COLLECTIVE
-    result = analyze(psi, roof_config, sort_values=sort_values, include_tails=needs_tails)
-    mv = vector_for(result, relation)
-    return [evaluate_relation(mv, relation, a, k_policy) for a in alphas]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    blocks = _analyze_block(psi.amplitudes[None], psi.dims, roof_config, sort_values, needs_tails)
+    (block,) = (b for b in blocks if b.kind is REGISTRY[relation].kind)
+    (grid,) = evaluate_grids(block, [(relation, alpha) for alpha in alphas], k_policy)
+    return [grid.report(a, 0) for a in range(len(alphas))]
 
 
 def _grid_for(relation: RelationId, alphas) -> list[float]:
@@ -282,17 +275,17 @@ class CampaignConfig:
             if not ok:
                 raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
-        need(_is_int(self.samples) and self.samples >= 1, "samples", "an integer >= 1")
-        need(_is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
-        need(isinstance(self.dims, (list, tuple)) and all(_is_int(d) for d in self.dims),
+        need(is_int(self.samples) and self.samples >= 1, "samples", "an integer >= 1")
+        need(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        need(isinstance(self.dims, (list, tuple)) and all(is_int(d) for d in self.dims),
              "dims", "a list of integers")
         need(len(validate_dims(self.dims)) >= 2, "dims", "a list of at least two tensor factors")
         need(isinstance(self.alphas, (list, tuple))
-             and all(_is_real(a) and math.isfinite(a) for a in self.alphas),
+             and all(is_real(a) and math.isfinite(a) for a in self.alphas),
              "alphas", "a list of finite numbers")
         need(isinstance(self.relations, (list, tuple)) and len(self.relations) > 0,
              "relations", "a nonempty list")
-        need(self.k_policy == "auto" or (_is_real(self.k_policy) and 0.0 < self.k_policy <= 1.0),
+        need(self.k_policy == "auto" or (is_real(self.k_policy) and 0.0 < self.k_policy <= 1.0),
              "k_policy", "'auto' or a number in (0, 1]")
         need(isinstance(self.sort_values, bool), "sort_values", "true or false")
         need(isinstance(self.roof, RoofConfig), "roof", "a roof config")
@@ -446,7 +439,7 @@ def sample_block(config: CampaignConfig, start: int, stop: int) -> np.ndarray:
 def sample_state(config: CampaignConfig, index: int) -> PureState:
     """The exact state of sample ``index``, an integer >= 0: the one-row
     case of :func:`sample_block`."""
-    if not _is_int(index):
+    if not is_int(index):
         raise ValueError(f"sample index must be an integer, got {index!r}")
     return PureState(sample_block(config, index, index + 1)[0], config.dims)
 

@@ -41,10 +41,10 @@ first, and runs each relation once over its whole alpha grid as an
 ``(alphas, rows, ...)`` program (a :class:`ReportGrid`).  It computes k
 and the condition once per (condition mode, weighted), since neither
 depends on alpha, and the powers ``v_j^alpha`` and the baseline sums
-once per alpha grid.  :func:`evaluate_block` gives the same columns one
-key at a time, and :func:`evaluate_relation`, :func:`admissible_k` and
-the ``bound_*`` functions are its one-row case, so there is no second
-scalar path.
+once per alpha grid.  It is the one evaluator: :meth:`ReportGrid.report`
+reads one row at one alpha as a :class:`RelationReport`, and
+:func:`evaluate_relation`, :func:`admissible_k` and the ``bound_*``
+functions are its one-row case, so there is no second scalar path.
 
 A row's columns do not depend on its block, its position there or the
 other alphas of its grid, which keeps campaign reports byte-identical
@@ -59,13 +59,12 @@ the two differ in the last bit on a few percent of values.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .states import require_finite
+from .states import is_int, is_real, require_finite
 
 COND_TOL = 1e-12
 SAT_TOL = 1e-9
@@ -246,7 +245,7 @@ def check_alpha(alpha, relation: RelationId | None = None) -> float:
     """``alpha`` as a float, checked a real number (not a bool or a
     string), finite and, given a relation, in its range: the one alpha
     check of every relation entry point."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+    if not is_real(alpha):
         raise ValueError(f"alpha must be a finite number, got {alpha!r}")
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -258,16 +257,19 @@ def check_alpha(alpha, relation: RelationId | None = None) -> float:
 
 
 def hamming_weight(j: int) -> int:
-    """Number of ones in the binary expansion of ``j``."""
-    if j < 0:
-        raise ValueError("hamming_weight expects a nonnegative integer")
+    """Number of ones in the binary expansion of ``j``, an integer >= 0
+    (not a bool)."""
+    if not (is_int(j) and j >= 0):
+        raise ValueError(f"hamming_weight expects a nonnegative integer, got {j!r}")
     return int(j).bit_count()
 
 
 def weight_factor(alpha: float, k):
     """``((1 + k)^alpha - 1) / k^alpha`` for k in (0, 1]; elementwise over
-    an array of k.  ``alpha`` must be finite."""
+    an array of k.  ``alpha`` must be finite, and k real (not a bool)."""
     alpha = check_alpha(alpha)
+    if not (is_real(k) or np.asarray(k).dtype.kind in "iuf"):
+        raise ValueError(f"k must be a real number or an array of them, got {k!r}")
     k = np.asarray(k, dtype=float)
     if not ((0.0 < k) & (k <= 1.0)).all():
         raise ValueError(f"k must lie in (0, 1], got {k}")
@@ -483,9 +485,22 @@ class RelationReport:
     tightness_delta: float | None
 
 
-class _GapColumns:
-    """What follows from a relation's columns, of any shape: ``gap`` is
-    NaN exactly on the rows that are not evaluated."""
+@dataclass(frozen=True)
+class ReportGrid:
+    """One relation over an alpha grid on the rows of a
+    :class:`MeasureBlock`: the fields of :class:`RelationReport` as
+    columns ``(alphas, rows)``, NaN where a report has None, but ``k``,
+    which does not depend on alpha and is one column ``(rows,)``.  ``gap``
+    is NaN exactly on the rows that are not evaluated."""
+
+    relation: RelationId
+    alphas: tuple[float, ...]
+    k: np.ndarray
+    condition: np.ndarray
+    lhs_pow: np.ndarray
+    rhs: np.ndarray
+    kim_rhs: np.ndarray
+    gap: np.ndarray
 
     @property
     def evaluated(self) -> np.ndarray:
@@ -500,71 +515,34 @@ class _GapColumns:
     def tightness(self) -> np.ndarray:
         return (self.rhs - self.kim_rhs) if REGISTRY[self.relation].geq else (self.kim_rhs - self.rhs)
 
-
-@dataclass(frozen=True)
-class ReportColumns(_GapColumns):
-    """One relation at one alpha over the rows of a :class:`MeasureBlock`:
-    the fields of :class:`RelationReport` as columns, NaN where a report
-    has None.
-    """
-
-    relation: RelationId
-    alpha: float
-    k: np.ndarray
-    condition: np.ndarray
-    lhs_pow: np.ndarray
-    rhs: np.ndarray
-    kim_rhs: np.ndarray
-    gap: np.ndarray
-
-    def report(self, i: int) -> RelationReport:
-        def pick(column):
-            value = float(column[i])
+    def report(self, a: int, row: int) -> RelationReport:
+        """The report of row ``row`` at ``alphas[a]``."""
+        def pick(value):
+            value = float(value)
             return None if math.isnan(value) else value
 
-        gap = pick(self.gap)
+        gap = pick(self.gap[a, row])
         return RelationReport(
             relation=self.relation,
-            alpha=self.alpha,
-            k=pick(self.k),
-            condition_holds=bool(self.condition[i]),
-            lhs_pow=pick(self.lhs_pow),
-            rhs=pick(self.rhs),
+            alpha=self.alphas[a],
+            k=pick(self.k[row]),
+            condition_holds=bool(self.condition[a, row]),
+            lhs_pow=pick(self.lhs_pow[a, row]),
+            rhs=pick(self.rhs[a, row]),
             satisfied=None if gap is None else gap >= -SAT_TOL,
             gap=gap,
-            kim_rhs=pick(self.kim_rhs),
-            tightness_delta=pick(self.tightness),
+            kim_rhs=pick(self.kim_rhs[a, row]),
+            tightness_delta=pick(self.tightness[a, row]),
         )
 
 
-@dataclass(frozen=True)
-class ReportGrid(_GapColumns):
-    """One relation over an alpha grid on the rows of a block: the
-    :class:`ReportColumns` of each alpha stacked on a leading axis,
-    ``(alphas, rows)``, but ``k``, which does not depend on alpha and is
-    one column ``(rows,)``."""
-
-    relation: RelationId
-    alphas: tuple[float, ...]
-    k: np.ndarray
-    condition: np.ndarray
-    lhs_pow: np.ndarray
-    rhs: np.ndarray
-    kim_rhs: np.ndarray
-    gap: np.ndarray
-
-    def columns(self, i: int) -> ReportColumns:
-        """The columns at ``alphas[i]``."""
-        return ReportColumns(self.relation, self.alphas[i], self.k, self.condition[i],
-                             self.lhs_pow[i], self.rhs[i], self.kim_rhs[i], self.gap[i])
-
-
 def _explicit_k(k_policy) -> float | None:
-    """None for the ``"auto"`` policy, else the explicit k in (0, 1]."""
-    if isinstance(k_policy, str):
-        if k_policy != "auto":
-            raise ValueError(f"k policy must be 'auto' or an explicit float, got {k_policy!r}")
+    """None for the ``"auto"`` policy, else the explicit k, a real number
+    (not a bool) in (0, 1]."""
+    if isinstance(k_policy, str) and k_policy == "auto":
         return None
+    if not is_real(k_policy):
+        raise ValueError(f"k policy must be 'auto' or an explicit float, got {k_policy!r}")
     k = float(k_policy)
     if not 0.0 < k <= 1.0:
         raise ValueError(f"explicit k must lie in (0, 1], got {k}")
@@ -679,28 +657,14 @@ def evaluate_grids(block: MeasureBlock, keys, k_policy="auto") -> list[ReportGri
     return out
 
 
-def evaluate_block(block: MeasureBlock, keys, k_policy="auto") -> list[ReportColumns]:
-    """Evaluate every ``(relation, alpha)`` of ``keys`` on the rows of
-    ``block``, one :class:`ReportColumns` per key in order: the columns
-    of :func:`evaluate_grids`, which checks the arguments."""
-    keys = list(keys)
-    grids = {grid.relation: grid for grid in evaluate_grids(block, keys, k_policy)}
-    taken = dict.fromkeys(grids, 0)
-    out = []
-    for relation, _ in keys:
-        out.append(grids[relation].columns(taken[relation]))
-        taken[relation] += 1
-    return out
-
-
 def evaluate_relation(mv: MeasureVector, relation: RelationId, alpha: float,
                       k_policy="auto") -> RelationReport:
-    """Evaluate one relation on ``mv`` at power ``alpha``: the one-row
-    case of :func:`evaluate_block`.
+    """Evaluate one relation on ``mv`` at power ``alpha``: the one-key,
+    one-row case of :func:`evaluate_grids`.
 
     ``k_policy`` is ``"auto"`` (minimal admissible k) or an explicit float
     in (0, 1], checked for every relation.  Out-of-range alpha and a
     mismatched measure kind are errors; an unsatisfiable hypothesis yields
     a not-evaluated report, not an error.
     """
-    return evaluate_block(mv.block, [(relation, alpha)], k_policy)[0].report(0)
+    return evaluate_grids(mv.block, [(relation, alpha)], k_policy)[0].report(0, 0)

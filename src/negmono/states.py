@@ -34,6 +34,16 @@ def validate_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -332,17 +342,6 @@ def _haar_rows(d: int, generators) -> np.ndarray:
     return z / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
 
 
-def haar_amplitudes(d: int, seeds) -> np.ndarray:
-    """Haar-distributed unit vectors in C^d, one row per seed: a stack
-    ``(rows, d)``.
-
-    Row i is drawn from ``numpy.random.default_rng(seeds[i])`` alone, so
-    it does not depend on the other rows.  Normalizing uses
-    ``np.vecdot``, so this needs numpy 2.0 or later.
-    """
-    return _haar_rows(d, (np.random.default_rng(seed) for seed in seeds))
-
-
 # numpy's SeedSequence (NEP 19): its pool size, the uint32 hash constants
 # of its entropy mix (A) and of generate_state (B), and its mix
 # multipliers; then the multiplier of PCG64's 128-bit LCG
@@ -427,14 +426,10 @@ def _keyed_pcg64_states(entropy: int, start: int, stop: int) -> list[tuple[int, 
     return states
 
 
-def _is_index(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def keyed_haar_amplitudes(d: int, entropy: int, start: int, stop: int) -> np.ndarray:
     """Haar-distributed unit vectors in C^d for the stream keys ``start``
     to ``stop - 1`` of ``entropy``, one row each: row i - start is the
-    draw of :func:`haar_amplitudes` from the seed
+    amplitude vector :func:`haar_random_pure` draws from the seed
     ``SeedSequence(entropy, spawn_key=(i,))``, bit for bit.
 
     The streams are derived in one pass (:func:`_keyed_pcg64_states`) and
@@ -443,10 +438,10 @@ def keyed_haar_amplitudes(d: int, entropy: int, start: int, stop: int) -> np.nda
     and ``stop`` must be integers (not bools) with ``entropy >= 0`` and
     ``0 <= start <= stop``.
     """
-    if not (_is_index(start) and _is_index(stop) and 0 <= start <= stop):
+    if not (is_int(start) and is_int(stop) and 0 <= start <= stop):
         raise ValueError(f"stream keys must be integers 0 <= start <= stop, "
                          f"got start={start!r}, stop={stop!r}")
-    if not (_is_index(entropy) and entropy >= 0):
+    if not (is_int(entropy) and entropy >= 0):
         raise ValueError(f"entropy must be an integer >= 0, got {entropy!r}")
     rng = np.random.Generator(np.random.PCG64(0))
     bits = rng.bit_generator
@@ -464,11 +459,10 @@ def haar_random_pure(dims, seed) -> PureState:
     """Draw a Haar-distributed pure state, reproducible bit-for-bit from ``seed``.
 
     ``seed`` may be an int or anything ``numpy.random.default_rng`` accepts
-    (e.g. a ``SeedSequence``).  This is the one-row case of
-    :func:`haar_amplitudes`.
+    (e.g. a ``SeedSequence``); the draw is ``default_rng(seed)``'s alone.
     """
     dims = validate_dims(dims)
-    return PureState(haar_amplitudes(prod(dims), [seed])[0], dims)
+    return PureState(_haar_rows(prod(dims), [np.random.default_rng(seed)])[0], dims)
 
 
 def haar_random_mixed(dims, env_dim: int, seed) -> DensityMatrix:

@@ -40,7 +40,7 @@ from negmono import (
     two_qubit_tangle_and_toa,
 )
 from negmono.harness import _BLOCK, _analyze_block, campaign_report_json, sample_block
-from negmono.relations import evaluate_block
+from negmono.relations import evaluate_grids
 from negmono.roof import optimize_roof
 
 CUT2 = Bipartition.split(2, (0,))
@@ -347,35 +347,35 @@ def test_negative_alpha_relations():
     na_state_seen = False
     for bucket, cfg, n_samples in (("4q", cfg4, 3000), ("5q", cfg5, 1000)):
         for idx, scren_block, screnoa_block in blocks(cfg, n_samples):
-            average = evaluate_block(scren_block, at_grid(RelationId.POLY_AVERAGE_NEG))
-            hamming = evaluate_block(screnoa_block, at_grid(RelationId.MONO_HAMMING_NEG))
-            ladder = evaluate_block(screnoa_block, at_grid(RelationId.MONO_LADDER_NEG))
+            (average,) = evaluate_grids(scren_block, at_grid(RelationId.POLY_AVERAGE_NEG))
+            (hamming,) = evaluate_grids(screnoa_block, at_grid(RelationId.MONO_HAMMING_NEG))
+            (ladder,) = evaluate_grids(screnoa_block, at_grid(RelationId.MONO_LADDER_NEG))
             scren_ok = scren_block.values.min(axis=1) > 1e-6
             screnoa_ok = screnoa_block.values.min(axis=1) > 1e-6
             for row, i in enumerate(idx):
                 for a, alpha in enumerate(NEG_GRID):
                     if scren_ok[row]:
-                        tally("average", average[a].report(row), i, bucket)
+                        tally("average", average.report(a, row), i, bucket)
                     if screnoa_ok[row]:
-                        tally(f"hamming-neg-{bucket}", hamming[a].report(row), i, bucket)
-                        rep = ladder[a].report(row)
+                        tally(f"hamming-neg-{bucket}", hamming.report(a, row), i, bucket)
+                        rep = ladder.report(a, row)
                         tally(f"ladder-neg-{bucket}", rep, i, bucket)
                         if rep.satisfied is False and alpha.is_integer():
                             ladder_violations.append((screnoa_block.row(row), rep))
                     elif not na_state_seen:
                         # hypothesis failure never reported as a pass
-                        assert hamming[a].report(row).satisfied is None
+                        assert hamming.report(a, row).satisfied is None
                         na_state_seen = True
 
     # collective tail-measure relation needs the roof maximizer per state
     roof = RoofConfig(restarts=6, seed=3)
     for idx, _, screnoa_block in blocks(cfg4, 250, roof, include_tails=True):
-        collective = evaluate_block(screnoa_block, at_grid(RelationId.MONO_LADDER_NEG_COLLECTIVE))
+        (collective,) = evaluate_grids(screnoa_block, at_grid(RelationId.MONO_LADDER_NEG_COLLECTIVE))
         for row, i in enumerate(idx):
             if screnoa_block.values[row].min() <= 1e-6:
                 continue
-            for cols in collective:
-                tally("collective-4q", cols.report(row), i, "4q")
+            for a in range(len(NEG_GRID)):
+                tally("collective-4q", collective.report(a, row), i, "4q")
 
     elapsed = time.perf_counter() - start
     lines = []

@@ -41,10 +41,9 @@ from negmono.harness import (
     _grid_for,
     campaign_report_json,
     sample_block,
-    vector_for,
 )
 from negmono.measures import two_qubit_block
-from negmono.relations import SAT_TOL
+from negmono.relations import REGISTRY, SAT_TOL, MeasureKind
 from negmono.states import cut_matrices
 
 CAPPED_ROOF = RoofConfig(restarts=2, max_iters=10, seed=4)
@@ -149,7 +148,7 @@ def _per_sample_campaign(config: CampaignConfig) -> CampaignReport:
                          sort_values=config.sort_values, include_tails=needs_tails)
         _fold_baseline(baseline, result.scren, result.screnoa)
         for (rid, alpha), st in stats.items():
-            mv = vector_for(result, rid)
+            mv = result.scren if REGISTRY[rid].kind is MeasureKind.SCREN else result.screnoa
             rep = evaluate_relation(mv, rid, alpha, config.k_policy)
             _fold_report(st, rep)
             if rep.satisfied is False:

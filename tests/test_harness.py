@@ -13,6 +13,7 @@ from negmono import (
     analyze,
     builtin_state,
     emit_report,
+    evaluate_relation,
     run_campaign,
     sample_state,
     sweep,
@@ -32,9 +33,12 @@ from negmono.harness import (
     campaign_report_json,
     relation_report_dict,
     relation_reports_to_csv,
+    relation_reports_to_json,
 )
+from negmono.relations import REGISTRY
 
 LIGHT_ROOF = RoofConfig(restarts=6, seed=0)
+CAPPED_ROOF = RoofConfig(restarts=2, max_iters=10, seed=4)
 
 
 class TestBuiltinStates:
@@ -128,6 +132,30 @@ class TestSweep:
         rep = sweep(psi, RelationId.MONO_HAMMING, (1.0,), "auto", sort_values=True)[0]
         if rep.tightness_delta is not None:
             assert abs(rep.tightness_delta) < 1e-12
+
+    # a sweep evaluates its whole grid, any iterable, at once: every report
+    # must be the one evaluate_relation gives at its alpha alone, on
+    # analyze's vector
+    @pytest.mark.parametrize("state,relation,alphas,k_policy,sort_values,roof", [
+        ("ghz4", RelationId.MONO_LADDER, (1.0, 2.0, 1.0, 3.0), "auto", False, None),
+        ("w4", RelationId.MONO_HAMMING_NEG, (-0.5, -1.0, -2.0, -1.0), "auto", True, None),
+        ("w4", RelationId.POLY_HAMMING, (0.25, 0.5, 1.0), 0.7, True, None),
+        ("w4", RelationId.MONO_LADDER_NEG_COLLECTIVE, (-0.5, -1.0, -2.0), "auto", True,
+         CAPPED_ROOF),
+        ("aharonov", RelationId.MONO_HAMMING_BASE, (1.0, 2.0, 2.0), "auto", False, CAPPED_ROOF),
+    ], ids=["ghz4-ladder-repeat", "w4-hamming-neg", "w4-poly-k", "w4-collective", "aharonov"])
+    def test_grid_equals_each_alpha_alone(self, state, relation, alphas, k_policy,
+                                          sort_values, roof):
+        psi = builtin_state(state)
+        result = analyze(psi, roof, sort_values=sort_values,
+                         include_tails=relation is RelationId.MONO_LADDER_NEG_COLLECTIVE)
+        mv = result.scren if REGISTRY[relation].kind is MeasureKind.SCREN else result.screnoa
+        alone = [evaluate_relation(mv, relation, alpha, k_policy) for alpha in alphas]
+        grid = sweep(psi, relation, (alpha for alpha in alphas), k_policy,
+                     sort_values=sort_values, roof_config=roof)
+        assert grid == alone
+        assert relation_reports_to_json(grid) == relation_reports_to_json(alone)
+        assert relation_reports_to_csv(grid) == relation_reports_to_csv(alone)
 
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from negmono import (
 )
 from negmono.harness import builtin_state, relation_reports_to_json, sweep
 from negmono.relations import (REGISTRY, MeasureBlock, _pattern_sum, _powers, _weight_factors,
-                               evaluate_block)
+                               evaluate_grids)
 
 
 def scren_vec(values, lhs, tails=None):
@@ -44,6 +44,14 @@ class TestHammingWeight:
         with pytest.raises(ValueError):
             hamming_weight(-1)
 
+    def test_numpy_integer(self):
+        assert hamming_weight(np.int64(7)) == 3
+
+    @pytest.mark.parametrize("j", [2.5, 3.9, 2.0, True, False, None, "3"], ids=repr)
+    def test_rejects_non_integers(self, j):
+        with pytest.raises(ValueError, match="expects a nonnegative integer"):
+            hamming_weight(j)
+
 
 class TestWeightFactor:
     def test_alpha_two_k_one(self):
@@ -61,6 +69,14 @@ class TestWeightFactor:
         for k in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 weight_factor(2.0, k)
+
+    def test_integer_k(self):
+        assert weight_factor(2.0, 1) == weight_factor(2.0, np.array([1])) == 3.0
+
+    @pytest.mark.parametrize("k", [True, False, np.True_, 1 + 0j, None, "0.5", [True]], ids=repr)
+    def test_rejects_non_real_k(self, k):
+        with pytest.raises(ValueError, match="k must be a real number"):
+            weight_factor(2.0, k)
 
     def test_dominates_alpha_above_one(self):
         rng = np.random.default_rng(3)
@@ -268,7 +284,7 @@ class TestNonFiniteInput:
         mv = scren_vec([0.5, 0.25], 1.0)
         block = MeasureBlock([[0.5, 0.25]], MeasureKind.SCREN, [1.0])
         for call in (lambda: evaluate_relation(mv, relation, alpha),
-                     lambda: evaluate_block(block, [(relation, alpha)]),
+                     lambda: evaluate_grids(block, [(relation, alpha)]),
                      lambda: sweep(builtin_state("bell"), relation, (alpha,))):
             with pytest.raises(ValueError, match="alpha must be a finite number, got"):
                 call()
@@ -406,6 +422,17 @@ class TestEvaluateRelation:
         mv = MeasureVector((1.0, 0.5), REGISTRY[relation].kind, 2.0)
         with pytest.raises(ValueError):
             evaluate_relation(mv, relation, alpha, k_policy)
+
+    # campaign configs reject these too ("'auto' or a number in (0, 1]")
+    @pytest.mark.parametrize("k_policy", [True, False, None, 1 + 0j, [0.5]], ids=repr)
+    def test_entry_points_reject_non_real_k(self, k_policy):
+        relation = RelationId.MONO_HAMMING
+        mv = scren_vec([0.5, 0.25], 1.0)
+        for call in (lambda: evaluate_relation(mv, relation, 2.0, k_policy),
+                     lambda: evaluate_grids(mv.block, [(relation, 2.0)], k_policy),
+                     lambda: sweep(builtin_state("ghz3"), relation, (2.0,), k_policy)):
+            with pytest.raises(ValueError, match="k policy must be 'auto' or an explicit float"):
+                call()
 
     def test_gap_sign_conventions(self):
         mono = evaluate_relation(scren_vec([1.0, 1.0], 4.0), RelationId.MONO_HAMMING, 2.0)
@@ -602,18 +629,26 @@ class TestPowerKernelRowInvariance:
             block = MeasureBlock(values, kind, lhs, tails if kind is MeasureKind.SCRENOA else None)
             keys = [(relation, alpha) for relation, spec in REGISTRY.items() if spec.kind is kind
                     for alpha in POWER_ALPHAS if spec.alpha_range.contains(alpha)]
-            for cols in evaluate_block(block, keys):
-                for i in range(rows):
-                    assert cols.report(i) == evaluate_relation(block.row(i), cols.relation, cols.alpha)
+            for grid in evaluate_grids(block, keys):
+                for a, alpha in enumerate(grid.alphas):
+                    for i in range(rows):
+                        assert grid.report(a, i) == evaluate_relation(block.row(i), grid.relation,
+                                                                      alpha)
 
 
 class TestAlphaBatchInvariance:
-    """evaluate_block runs each relation once over its alpha grid; every
+    """evaluate_grids runs each relation once over its alpha grid; every
     key's columns must equal, to the last bit, those of the key evaluated
     alone."""
 
     FIELDS = ("k", "condition", "lhs_pow", "rhs", "kim_rhs", "gap")
     ALPHAS = (-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def column(grid, a, name):
+        # k does not depend on alpha: one column for the whole grid
+        value = getattr(grid, name)
+        return value if name == "k" else value[a]
 
     @pytest.mark.parametrize("k_policy", ["auto", 0.7])
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -631,20 +666,23 @@ class TestAlphaBatchInvariance:
                     for alpha in self.ALPHAS if spec.alpha_range.contains(alpha)]
             relations = {relation for relation, _ in keys}
             assert relations == {r for r, spec in REGISTRY.items() if spec.kind is kind}
-            together = evaluate_block(block, keys, k_policy)
+            together = [(grid, a) for grid in evaluate_grids(block, keys, k_policy)
+                        for a in range(len(grid.alphas))]
             assert len(together) == len(keys)
-            for key, cols in zip(keys, together):
-                (alone,) = evaluate_block(block, [key], k_policy)
-                assert (cols.relation, cols.alpha) == key == (alone.relation, alone.alpha)
+            for key, (grid, a) in zip(keys, together):
+                (alone,) = evaluate_grids(block, [key], k_policy)
+                assert (grid.relation, grid.alphas[a]) == key == (alone.relation, alone.alphas[0])
                 for name in self.FIELDS:
-                    assert np.array_equal(getattr(cols, name), getattr(alone, name),
+                    assert np.array_equal(self.column(grid, a, name), self.column(alone, 0, name),
                                           equal_nan=True), (key, name)
 
     def test_interleaved_and_repeated_keys_keep_their_order(self):
         block = MeasureVector((0.6, 0.3, 0.1), MeasureKind.SCREN, 1.1).block
         keys = [(RelationId.MONO_HAMMING, 2.0), (RelationId.MONO_LADDER, 1.0),
                 (RelationId.MONO_HAMMING, 1.5), (RelationId.MONO_HAMMING, 2.0)]
-        together = evaluate_block(block, keys)
-        assert [(c.relation, c.alpha) for c in together] == keys
-        for key, cols in zip(keys, together):
-            assert cols.report(0) == evaluate_relation(block.row(0), *key)
+        together = evaluate_grids(block, keys)
+        assert [(g.relation, g.alphas) for g in together] == [
+            (RelationId.MONO_HAMMING, (2.0, 1.5, 2.0)), (RelationId.MONO_LADDER, (1.0,))]
+        for grid in together:
+            for a, alpha in enumerate(grid.alphas):
+                assert grid.report(a, 0) == evaluate_relation(block.row(0), grid.relation, alpha)

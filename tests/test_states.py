@@ -22,7 +22,7 @@ from negmono import (
 )
 from negmono.harness import builtin_state
 from negmono.states import (NORM_ATOL, Bipartition, check_density_block, check_pure_block,
-                            cut_matrices, haar_amplitudes, marginal_block)
+                            cut_matrices, marginal_block)
 
 
 def bell():
@@ -354,7 +354,7 @@ class TestCutLayout:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (dims, a)
 
     def test_cut_matrices_of_a_stack_are_the_rows(self):
-        amps = haar_amplitudes(12, range(4))
+        amps = np.stack([haar_random_pure((12,), seed).amplitudes for seed in range(4)])
         cut = Bipartition.split(3, (1,))
         stack = cut_matrices(amps, (2, 3, 2), cut)
         assert stack.shape == (4, 3, 4)
@@ -372,7 +372,7 @@ class TestPureBlockCheck:
 
     @staticmethod
     def rows(seed, d, count=64):
-        return haar_amplitudes(d, [(seed, i) for i in range(count)])
+        return np.stack([haar_random_pure((d,), (seed, i)).amplitudes for i in range(count)])
 
     @pytest.mark.parametrize("d", [4, 16, 32, 27])
     def test_accepted_rows_give_density_matrices(self, d):
@@ -493,14 +493,6 @@ class TestHaarSampling:
             for i in range(3000)
         ]
         assert abs(np.mean(sample) - expected) < 0.02
-
-    def test_haar_amplitudes_rows_are_one_row_draws(self):
-        seeds = [np.random.SeedSequence(5, spawn_key=(i,)) for i in range(5)] + [11]
-        amps = haar_amplitudes(12, seeds)
-        assert amps.shape == (6, 12)
-        for seed, row in zip(seeds, amps):
-            assert _same_bits(row, haar_random_pure((2, 6), seed).amplitudes)
-        assert haar_amplitudes(12, []).shape == (0, 12)
 
     def test_mixed_sampler_rank_and_validity(self):
         rho = haar_random_mixed((2, 2), 2, 5)
