@@ -74,6 +74,7 @@ from .relations import (
     REGISTRY,
     ReportGrid,
     check_alpha,
+    check_k_policy,
     evaluate_grids,
     row_sum,
 )
@@ -242,11 +243,12 @@ def _analyze_block(amps: np.ndarray, dims: tuple[int, ...], roof_config: RoofCon
 def sweep(psi: PureState, relation: RelationId, alphas, k_policy="auto", *,
           sort_values: bool = False, roof_config: RoofConfig | None = None) -> list[RelationReport]:
     """One relation over an alpha grid, any iterable, on a single state:
-    the grid is checked before any measure is taken, then evaluated in
-    one :func:`evaluate_grids` call."""
+    the grid and the k policy are checked before any measure is taken,
+    then evaluated in one :func:`evaluate_grids` call."""
     alphas = [check_alpha(alpha, relation) for alpha in alphas]
     if not alphas:
         raise ValueError(f"the alpha grid for {relation.value} is empty")
+    check_k_policy(k_policy)
     needs_tails = relation is RelationId.MONO_LADDER_NEG_COLLECTIVE
     blocks = _analyze_block(psi.amplitudes[None], psi.dims, roof_config, sort_values, needs_tails)
     (block,) = (b for b in blocks if b.kind is REGISTRY[relation].kind)

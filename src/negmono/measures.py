@@ -174,9 +174,11 @@ def squared_roof_block(mats: np.ndarray, dims: tuple[int, ...], cut: Bipartition
     mark the pure rows (top eigenvalue within 1e-10 of 1), whose top
     eigenvectors take the pure-state formula once for both directions;
     every other row takes the roof optimizer once per direction, all in
-    one :func:`~negmono.roof.optimize_roof_block` call.  The optimizer value is
-    an upper bound on the true roof for MIN and a lower bound for MAX;
-    restart disagreement is reported in ``certified_gaps``, never silently.
+    one :func:`~negmono.roof.optimize_roof_block` call (pairwise rotation
+    search for MIN, conjugate-gradient ascent for MAX).  The optimizer
+    value is an upper bound on the true roof for MIN and a lower bound
+    for MAX; restart disagreement is reported in ``certified_gaps``,
+    never silently.
     """
     cut.validate(len(dims))
     rows = len(mats)

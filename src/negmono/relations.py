@@ -536,7 +536,7 @@ class ReportGrid:
         )
 
 
-def _explicit_k(k_policy) -> float | None:
+def check_k_policy(k_policy) -> float | None:
     """None for the ``"auto"`` policy, else the explicit k, a real number
     (not a bool) in (0, 1]."""
     if isinstance(k_policy, str) and k_policy == "auto":
@@ -589,7 +589,7 @@ def evaluate_grids(block: MeasureBlock, keys, k_policy="auto") -> list[ReportGri
     weighted), since neither depends on alpha, and the powers and the
     baseline sums once per alpha grid.
     """
-    explicit_k = _explicit_k(k_policy)
+    explicit_k = check_k_policy(k_policy)
     grids: dict[RelationId, list[float]] = {}
     for relation, alpha in keys:
         grids.setdefault(relation, []).append(check_alpha(alpha, relation))

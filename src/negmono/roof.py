@@ -4,23 +4,28 @@ A density matrix of rank r has pure-state decompositions in one-to-one
 correspondence with m x r matrices V having orthonormal columns (m >= r):
 the unnormalized members are ``v_k = sum_j V[k, j] * sqrt(q_j) |phi_j>``
 built from the eigendecomposition ``{q_j, |phi_j>}``.  The roof value is
-the min (or max) over V of ``sum_k p_k N(|psi_k>)``, searched by local
-moves in the row space of V: generic cuts use derivative-free pairwise
-rotations with step control, while 2x2-by-2x2 cuts get closed-form
-per-pair solves (a Takagi factorization of the pair's determinant form).
+the min (or max) over V of ``sum_k p_k N(|psi_k>)``.  On generic cuts a
+minimization (SCREN) is searched by derivative-free pairwise rotations of
+the rows of V with step control, and a maximization (SCRENoA) by
+Riemannian conjugate-gradient ascent on V; 2x2-by-2x2 cuts get
+closed-form per-pair solves (a Takagi factorization of the pair's
+determinant form) in both directions.
 
-The generic search is bound by per-call overhead on tiny arrays, so it
-runs as an array program (``_Program``): every running search of a block
-whose decompositions share m and r is one slot of stacked arrays, rows
-``(S, m, n)``, isometries ``(S, m, r)`` and contributions ``(S, m)``.
-The slots sweep the row pairs in lockstep: step p moves every slot by
-pair p with one batched trial matmul and one ``_Objective.contribs``
-call, then one ladder call for the slots whose best trial improved; at
-the sweep boundary the slots that moved share one stacked QR and
-refresh.  The accept and ladder decisions stay per slot, in Python
-scalars.  ``contribs`` is row-wise and the batched matmul and QR are
-slice-wise to the last bit, so a slot's values never depend on its
-batch: every search takes the trajectory it takes alone.
+The generic searches are bound by per-call overhead on tiny arrays, so
+they run as array programs: every running search of a block whose
+decompositions share m, r and direction is one slot of stacked arrays,
+rows ``(S, m, n)``, isometries ``(S, m, r)``.  In the rotation program
+(``_Program``, MIN) the slots sweep the row pairs in lockstep: step p
+moves every slot by pair p with one batched trial matmul and one
+``_Objective.contribs`` call, then one ladder call for the slots whose
+best trial improved; at the sweep boundary the slots that moved share
+one stacked QR and refresh.  The accept and ladder decisions stay per
+slot, in Python scalars.  In the ascent (``_Ascent``, MAX) each step
+takes one batched SVD for the gradients and one ``contribs`` call that
+scores a few step sizes of every slot.  ``contribs`` is row-wise and the
+batched matmul, SVD and QR are slice-wise to the last bit, so a slot's
+values never depend on its batch: every search takes the trajectory it
+takes alone.
 
 Each density matrix runs its restart loop as a ``_Restarts`` object,
 which folds results in restart order.  The restarts that a sequential
@@ -64,11 +69,12 @@ class RoofConfig:
     """Knobs for :func:`optimize_roof`.
 
     ``cardinality`` is the decomposition size m (defaults to min(r*r, 16),
-    never below the rank r).  ``max_iters`` caps coordinate sweeps per
-    restart.  ``step_tolerance`` governs only the generic search, which
-    otherwise stops once its trial rotation angle shrinks below it; the
-    exact pair search of 2x2-by-2x2 cuts has no step to shrink and stops
-    on a sweep's gain instead.  A nonzero ``value_floor`` lets a
+    never below the rank r).  ``max_iters`` caps, per restart, the sweeps
+    of a MIN search and of the pair search of 2x2-by-2x2 cuts, and the
+    ascent steps of a MAX search on generic cuts.  ``step_tolerance``
+    governs only the generic MIN search, which otherwise stops once its
+    trial rotation angle shrinks below it; the pair search and the ascent
+    stop on a step's gain instead.  A nonzero ``value_floor`` lets a
     minimization return as soon as the mean negativity drops below it
     (the result is an upper bound on the infimum either way, so callers
     that only need the value to that precision can save the extra work).
@@ -129,7 +135,8 @@ class RoofResult:
     """Best decomposition found: ``value`` is the mean negativity before squaring.
 
     ``restarts_run`` counts the restarts folded into the result and
-    ``sweeps`` their sweeps.  ``stop`` says why the restart loop ended:
+    ``sweeps`` their sweeps, or ascent steps for a MAX search on a
+    generic cut.  ``stop`` says why the restart loop ended:
     ``"floor"`` (a minimization reached ``min_floor``), ``"consensus"``
     (the two best restarts agree) or ``"budget"`` (every restart ran, or
     a single-member decomposition left nothing to search).
@@ -551,23 +558,23 @@ class _Restarts:
 class _Slot:
     """The scalar state of one running coordinate search in a ``_Program``."""
 
-    __slots__ = ("row", "t", "sign", "step", "coeffs", "ladders", "sweeps", "gain",
-                 "total", "contribs")
+    __slots__ = ("row", "t", "step", "coeffs", "ladders", "sweeps", "gain", "total", "contribs")
 
-    def __init__(self, row: _Restarts, t: int):
+    def __init__(self, row: _Restarts, t: int, values: np.ndarray):
         self.row, self.t = row, t
-        self.sign = 1.0 if row.minimize else -1.0
         self.step = 0.5
         self.coeffs, self.ladders = _rotation_blocks(self.step)
         self.sweeps = 0
         self.gain = 0.0
+        self.total = float(values.sum())
+        self.contribs = values.tolist()
 
     def begin_sweep(self) -> bool:
         """Start the next sweep, or return False once the search is over."""
         cfg = self.row.cfg
         if not (self.step > cfg.step_tolerance and self.sweeps < cfg.max_iters):
             return False
-        if self.row.minimize and self.total - 1.0 <= cfg.min_floor:
+        if self.total - 1.0 <= cfg.min_floor:
             return False
         self.sweeps += 1
         self.gain = 0.0
@@ -581,9 +588,67 @@ class _Slot:
             self.coeffs, self.ladders = _rotation_blocks(self.step)
 
 
-class _Program:
+class _Searches:
+    """The running searches of a block that share m and r, as slots of
+    stacked arrays: slot s holds ``V[s]`` (m, r) and its image
+    ``rows[s] = V[s] @ base.T`` (m, n), where ``base`` is its row's
+    eigenbase.  Slots join when their restart starts and leave when
+    their search ends or their row stops.  A subclass names its scalar
+    slot state in ``_slot_type``, rebuilds its stacked state from the
+    kept slots in ``_arrays`` and advances every slot by one step in
+    ``_advance``.
+    """
+
+    def __init__(self, obj: _Objective, m: int, r: int):
+        self.obj, self.contribs = obj, obj.contribs
+        self.m, self.r, self.n = m, r, obj.perm.size
+        self.slots: list = []
+        self._arrays(np.empty((0, m, r), complex), np.empty((0, m, self.n), complex), [])
+
+    def run(self, starts: list[tuple[_Restarts, int]]) -> None:
+        self._settle([], starts)
+        while self.slots:
+            self._advance()
+
+    def _settle(self, finished: list, starts: list) -> None:
+        """Fold ended searches into their rows, start the restarts that the
+        folds (or a new row) call for, and drop the slots of rows that
+        stopped.  A search can end as it starts, so this repeats until no
+        restart is left to start."""
+        done = {id(slot) for slot, _ in finished}
+        new = []  # (slot, V, rows) of started searches that run on
+        while finished or starts:
+            for slot, V in finished:
+                starts += [(slot.row, t) for t in
+                           slot.row.finish(slot.t, slot.total - 1.0, V, slot.sweeps)]
+            finished = []
+            if not starts:
+                break
+            V = np.stack([row.initial(t) for row, t in starts])
+            rows = V @ np.stack([row.base for row, _ in starts]).swapaxes(1, 2)
+            values = self.contribs(rows.reshape(-1, self.n)).reshape(len(starts), self.m)
+            for (row, t), v, rw, vals in zip(starts, V, rows, values):
+                slot = self._slot_type(row, t, vals)
+                if self.m < 2 or not slot.begin_sweep():
+                    finished.append((slot, v))
+                else:
+                    new.append((slot, v, rw))
+            starts = []
+        keep = [s for s, slot in enumerate(self.slots)
+                if id(slot) not in done and slot.row.stop is None]
+        new = [entry for entry in new if entry[0].row.stop is None]
+        if len(keep) == len(self.slots) and not new:
+            return
+        self.slots = [self.slots[s] for s in keep] + [slot for slot, *_ in new]
+        V = np.concatenate([self.V[keep]] + [v[None] for _, v, _ in new])
+        rows = np.concatenate([self.rows[keep]] + [rw[None] for *_, rw in new])
+        self._arrays(V, rows, keep)
+
+
+class _Program(_Searches):
     """Derivative-free descent by pairwise row rotations of V, for every
-    running search of a block that shares m and r, as one array program.
+    running MIN search of a block that shares m and r, as one array
+    program.
 
     Each sweep of a search visits every row pair (i, j) and tries four
     rotations of angle ``step`` (two real, two with relative phase i);
@@ -594,24 +659,21 @@ class _Program:
     accumulating and the contributions are recomputed; the step halves
     once a sweep gains less than ``1e-2 * step**2``.  The search ends when
     the step falls to ``step_tolerance``, after ``max_iters`` sweeps, or
-    when a minimization reaches ``min_floor``.
+    when it reaches ``min_floor``.
 
-    Slot s holds ``V[s]`` (m, r), its image ``rows[s] = V[s] @ base.T``
-    (m, n) and, in its ``_Slot``, the contributions and step control.
-    The slots share m, so the pairs, and sweep them in lockstep.  Slots
-    join when their restart starts and leave when their search ends or
-    their row stops, all at the sweep boundary.
+    A slot's contributions and step control live in its ``_Slot``.  The
+    slots share m, so the pairs, and sweep them in lockstep, joining and
+    leaving at the sweep boundary.
     """
 
-    def __init__(self, contribs, m: int, r: int, n: int):
-        self.contribs = contribs
-        self.m, self.r, self.n = m, r, n
+    _slot_type = _Slot
+
+    def __init__(self, obj: _Objective, m: int, r: int):
         self.pairs = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
         self.pair_index = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
-        self.slots: list[_Slot] = []
-        self._arrays(np.empty((0, m, r), complex), np.empty((0, m, n), complex))
+        super().__init__(obj, m, r)
 
-    def _arrays(self, V: np.ndarray, rows: np.ndarray) -> None:
+    def _arrays(self, V: np.ndarray, rows: np.ndarray, keep: list) -> None:
         S = len(self.slots)
         self.V, self.rows = V, rows
         # flat views: row i of slot s is row s * m + i
@@ -621,12 +683,10 @@ class _Program:
         self.bases = np.stack([slot.row.base for slot in self.slots]) if S else None
         self.coeff_stack = np.stack([slot.coeffs for slot in self.slots]) if S else None
 
-    def run(self, starts: list[tuple[_Restarts, int]]) -> None:
-        self._settle([], starts)
-        while self.slots:
-            for p in range(len(self.pairs)):
-                self._step(p)
-            self._end_sweeps()
+    def _advance(self) -> None:
+        for p in range(len(self.pairs)):
+            self._step(p)
+        self._end_sweeps()
 
     def _step(self, p: int) -> None:
         """Try pair p of every slot, and move the slots it improves."""
@@ -638,12 +698,10 @@ class _Program:
         won = []
         for s, (slot, cc) in enumerate(zip(self.slots, trials)):
             base = slot.contribs[i] + slot.contribs[j]
-            sign = slot.sign
             deltas = [cc[0] + cc[1] - base, cc[2] + cc[3] - base,
                       cc[4] + cc[5] - base, cc[6] + cc[7] - base]
-            signed = [sign * d for d in deltas]
-            t = signed.index(min(signed))  # the first minimum, as np.argmin
-            if signed[t] < -_IMPROVE_EPS:
+            t = deltas.index(min(deltas))  # the first minimum, as np.argmin
+            if deltas[t] < -_IMPROVE_EPS:
                 won.append((s, t, deltas[t], base, cc))
         if won:
             self._move(won, i, j, at, pair_d)
@@ -676,7 +734,6 @@ class _Program:
         offset = 0
         for k, (s, t, delta, base, cc) in enumerate(won):
             slot = slots[s]
-            sign = slot.sign
             block, new_pair = slot.coeffs[2 * t : 2 * t + 2], cc[2 * t : 2 * t + 2]
             # expand along the winning direction while it keeps improving,
             # so narrow valleys are crossed in one move instead of one step
@@ -685,14 +742,14 @@ class _Program:
             offset += rungs[k]
             for q in range(0, len(cl), 2):
                 d = cl[q] + cl[q + 1] - base
-                if sign * d < sign * delta - _IMPROVE_EPS:
+                if d < delta - _IMPROVE_EPS:
                     delta, block, new_pair = d, coeffs[k, q : q + 2], cl[q : q + 2]
                 else:
                     break
             blocks.append(block)
             slot.contribs[i], slot.contribs[j] = new_pair
             slot.total += delta
-            slot.gain -= sign * delta
+            slot.gain -= delta
         blocks = np.array(blocks)
         self.V_flat[at] = blocks @ self.V_flat[at]
         self.rows_flat[at] = blocks @ pair_d
@@ -720,41 +777,147 @@ class _Program:
         if finished:
             self._settle(finished, [])
 
-    def _settle(self, finished: list, starts: list) -> None:
-        """Fold ended searches into their rows, start the restarts that the
-        folds (or a new row) call for, and drop the slots of rows that
-        stopped.  A search can end as it starts, so this repeats until no
-        restart is left to start."""
-        done = {id(slot) for slot, _ in finished}
-        new = []  # (slot, V, rows) of started searches that run on
-        while finished or starts:
-            for slot, V in finished:
-                starts += [(slot.row, t) for t in
-                           slot.row.finish(slot.t, slot.total - 1.0, V, slot.sweeps)]
-            finished = []
-            if not starts:
-                break
-            V = np.stack([row.initial(t) for row, t in starts])
-            rows = V @ np.stack([row.base for row, _ in starts]).swapaxes(1, 2)
-            values = self.contribs(rows.reshape(-1, self.n)).reshape(len(starts), self.m)
-            for (row, t), v, rw, vals in zip(starts, V, rows, values):
-                slot = _Slot(row, t)
-                slot.total = float(vals.sum())
-                slot.contribs = vals.tolist()
-                if self.m < 2 or not slot.begin_sweep():
-                    finished.append((slot, v))
-                else:
-                    new.append((slot, v, rw))
-            starts = []
-        keep = [s for s, slot in enumerate(self.slots)
-                if id(slot) not in done and slot.row.stop is None]
-        new = [entry for entry in new if entry[0].row.stop is None]
-        if len(keep) == len(self.slots) and not new:
-            return
-        self.slots = [self.slots[s] for s in keep] + [slot for slot, *_ in new]
-        V = np.concatenate([self.V[keep]] + [v[None] for _, v, _ in new])
-        rows = np.concatenate([self.rows[keep]] + [rw[None] for *_, rw in new])
-        self._arrays(V, rows)
+
+# an ascent step scores these multiples of the last accepted step size;
+# a search starts at step size _ASCENT_STEP
+_ASCENT_SCALES = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 1.0 / 16.0])
+_ASCENT_STEP = 0.1
+
+
+class _Climb:
+    """The scalar state of one running ascent in an ``_Ascent``:
+    ``along_gradient`` says that its direction is the gradient itself,
+    and ``fresh`` that its gradient must be taken at the current V."""
+
+    __slots__ = ("row", "t", "step", "sweeps", "total", "along_gradient", "fresh")
+
+    def __init__(self, row: _Restarts, t: int, values: np.ndarray):
+        self.row, self.t = row, t
+        self.step = _ASCENT_STEP
+        self.sweeps = 0
+        self.total = float(values.sum())
+        self.along_gradient = self.fresh = True
+
+    def begin_sweep(self) -> bool:
+        """Count the next step, or return False once the budget is spent."""
+        if self.sweeps >= self.row.cfg.max_iters:
+            return False
+        self.sweeps += 1
+        return True
+
+
+def _tangent(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Projection of each ``X[s]`` onto the tangent space of the isometries
+    at ``V[s]``: ``X - V herm(V^dagger X)``."""
+    a = V.conj().swapaxes(1, 2) @ X
+    return X - V @ (0.5 * (a + a.conj().swapaxes(1, 2)))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re tr(a[s]^dagger b[s])`` of every slot s."""
+    return (a.conj() * b).real.reshape(len(a), -1).sum(axis=1)
+
+
+class _Ascent(_Searches):
+    """Riemannian conjugate-gradient ascent on V, for every running MAX
+    search of a block that shares m and r, as one array program.
+
+    With ``M_k = U_k S_k W_k^dagger`` the cut-reshaped member k and
+    ``t_k = ||M_k||_*``, the objective ``f = sum_k t_k^2`` has the
+    Euclidean gradient ``E = 2 diag(t) G conj(B)`` in V, where row k of G
+    is ``U_k W_k^dagger`` in basis order and B is the eigenbase; its
+    Riemannian gradient is ``xi = E - V herm(V^dagger E)`` (Abrudan,
+    Eriksson & Koivunen, IEEE TSP 56, 1134, 2008).  A maximum keeps the
+    members' singular values apart from 0, where the nuclear norm is
+    smooth, which is why MAX, and not MIN, takes this step.
+
+    Each step takes one batched SVD over the members of every slot whose
+    V moved, sets the direction by Polak-Ribiere+ with projection
+    transport (reset to xi when it is not an ascent direction), and
+    scores ``_ASCENT_SCALES`` times the last accepted step size along it,
+    each retracted by ``_reorthonormalize``, in one ``contribs`` call for
+    every slot.  The best candidate is kept only if f rises.  After a
+    failed step along a conjugate direction the next step retries along
+    xi at the same V.  The search ends on a step that gains less than
+    ``max(1e-12, value_slack / 16)``, on a failed step along xi, or after
+    ``max_iters`` steps.
+
+    Every operation is slice-wise, and ``contribs`` row-wise, to the last
+    bit, so a search takes the trajectory it takes alone.
+    """
+
+    _slot_type = _Climb
+
+    def __init__(self, obj: _Objective, m: int, r: int):
+        self.inverse = np.argsort(obj.perm.ravel())
+        # search directions and last gradients, zero for new slots
+        self.D = self.xi = np.empty((0, m, r), complex)
+        super().__init__(obj, m, r)
+
+    def _arrays(self, V: np.ndarray, rows: np.ndarray, keep: list) -> None:
+        pad = np.zeros((len(self.slots) - len(keep), self.m, self.r), complex)
+        self.D = np.concatenate([self.D[keep], pad])
+        self.xi = np.concatenate([self.xi[keep], pad])
+        self.V, self.rows = V, rows
+        if self.slots:
+            bases = np.stack([slot.row.base for slot in self.slots])
+            self.bases_t, self.bases_conj = bases.swapaxes(1, 2), bases.conj()
+
+    def _directions(self, idx: list) -> None:
+        """Gradient and search direction of the slots ``idx`` at their V."""
+        k, m = len(idx), self.m
+        V, rows = self.V[idx], self.rows[idx]
+        u, s, wh = np.linalg.svd(rows[..., self.obj.perm], full_matrices=False)
+        grads = (u @ wh).reshape(k, m, self.n)[..., self.inverse]
+        E = (2.0 * s.sum(axis=-1))[..., None] * (grads @ self.bases_conj[idx])
+        xi = _tangent(V, E)
+        old_xi, old_D = self.xi[idx], self.D[idx]
+        # Polak-Ribiere+; a new slot has old_xi = 0 and so beta = 0
+        den = _inner(old_xi, old_xi)
+        num = _inner(xi, xi - _tangent(V, old_xi))
+        beta = np.maximum(np.divide(num, den, out=np.zeros(k), where=den > 0.0), 0.0)
+        D = xi + beta[:, None, None] * _tangent(V, old_D)
+        reset = (beta == 0.0) | (_inner(D, xi) <= 0.0)
+        D[reset] = xi[reset]
+        self.xi[idx], self.D[idx] = xi, D
+        for s, flag in zip(idx, reset.tolist()):
+            self.slots[s].along_gradient = flag
+
+    def _advance(self) -> None:
+        slots = self.slots
+        fresh = [s for s, slot in enumerate(slots) if slot.fresh]
+        if fresh:
+            self._directions(fresh)
+        steps = np.array([slot.step for slot in slots])[:, None] * _ASCENT_SCALES
+        cands = _reorthonormalize(self.V[:, None] + steps[..., None, None] * self.D[:, None])
+        cand_rows = cands @ self.bases_t[:, None]
+        values = self.contribs(cand_rows.reshape(-1, self.n)).reshape(
+            len(slots), len(_ASCENT_SCALES), self.m).sum(axis=-1)
+        best = values.argmax(axis=1).tolist()
+        values = values.tolist()
+        moved, retry, finished = [], [], []
+        for s, (slot, c) in enumerate(zip(slots, best)):
+            value = values[s][c]
+            if value > slot.total:
+                gain = value - slot.total
+                slot.total, slot.step, slot.fresh = value, slot.step * _ASCENT_SCALES[c], True
+                moved.append(s)
+                ended = gain < max(1e-12, slot.row.cfg.value_slack(value - 1.0) / 16.0)
+            else:
+                slot.fresh = False
+                retry.append(s)
+                ended = slot.along_gradient
+            if ended or not slot.begin_sweep():
+                finished.append(s)
+        if moved:
+            won = [best[s] for s in moved]
+            self.V[moved], self.rows[moved] = cands[moved, won], cand_rows[moved, won]
+        if retry:
+            self.D[retry] = self.xi[retry]
+            for s in retry:
+                slots[s].along_gradient = True
+        if finished:
+            self._settle([(slots[s], self.V[s].copy()) for s in finished], [])
 
 
 def optimize_roof_block(mats, dims, cut: Bipartition, configs) -> list[RoofResult]:
@@ -763,13 +926,15 @@ def optimize_roof_block(mats, dims, cut: Bipartition, configs) -> list[RoofResul
     ``configs[b]``; one :class:`RoofResult` per row, in order.
 
     On generic cuts, the searches of every row whose decompositions share
-    m and r run as one array program, a step of which advances every
-    running restart by one row pair; the first restarts of a row run
-    concurrently, and a result its sequential loop would not reach is
-    discarded.  On 2x2-by-2x2 cuts each row runs its exact pair searches
-    one restart at a time.  Each result equals, bit for bit, what
-    :func:`optimize_roof` gives on its row alone.  Every row must have
-    the shape of ``dims``, since all share the objective's index map.
+    m, r and direction run as one array program: a step of the MIN
+    program advances every running restart by one row pair, and a step
+    of the MAX ascent advances every running restart by one gradient
+    step.  The first restarts of a row run concurrently, and a result its
+    sequential loop would not reach is discarded.  On 2x2-by-2x2 cuts
+    each row runs its exact pair searches one restart at a time.  Each
+    result equals, bit for bit, what :func:`optimize_roof` gives on its
+    row alone.  Every row must have the shape of ``dims``, since all
+    share the objective's index map.
     """
     dims = tuple(dims)
     cut.validate(len(dims))
@@ -789,12 +954,12 @@ def optimize_roof_block(mats, dims, cut: Bipartition, configs) -> list[RoofResul
                 V = search.initial(t)
                 pending += search.finish(t, *_pair_exact_search(obj, search.base, V, search.cfg))
     else:
-        groups: dict[tuple[int, int], list] = {}
+        groups: dict[tuple[bool, int, int], list] = {}
         for search in searches:
-            groups.setdefault((search.m, search.rank), []).extend(
+            groups.setdefault((search.minimize, search.m, search.rank), []).extend(
                 (search, t) for t in search.launch(speculate=True))
-        for (m, r), starts in groups.items():
-            _Program(obj.contribs, m, r, d).run(starts)
+        for (minimize, m, r), starts in groups.items():
+            (_Program if minimize else _Ascent)(obj, m, r).run(starts)
     return [search.result() for search in searches]
 
 

@@ -19,6 +19,7 @@ from negmono import (
     sweep,
     write_state_json,
 )
+from negmono import harness
 from negmono.cli import main as cli_main
 from negmono.harness import (
     REPORT_CSV_HEADER,
@@ -171,6 +172,15 @@ class TestSweep:
         relation = RelationId.MONO_HAMMING_NEG if alphas == (-math.inf,) else RelationId.MONO_HAMMING
         with pytest.raises(ValueError, match="not a finite number"):
             sweep(builtin_state("bell"), relation, alphas, "auto")
+
+    # a bad k fails before the roof runs on any marginal
+    @pytest.mark.parametrize("k", [True, 5.0, None, "x"])
+    def test_bad_k_rejected_before_analysis(self, k, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_analyze_block", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="k"):
+            sweep(builtin_state("ghz4"), RelationId.MONO_HAMMING, (1.0,), k)
+        assert calls == []
 
 
 class TestExactSum:

@@ -18,6 +18,7 @@ from negmono import (
     optimize_roof,
     optimize_roof_block,
     partial_trace,
+    pure_negativity,
     RelationId,
     two_qubit_tangle_and_toa,
 )
@@ -25,6 +26,7 @@ from negmono.harness import builtin_state
 from negmono.harness import campaign_report_json, run_campaign
 from negmono.measures import squared_roof_block
 from negmono.roof import (
+    _Ascent,
     _eig_base,
     _haar_isometry,
     _Objective,
@@ -256,7 +258,9 @@ class TestOptimizeRoof:
 
 
 class TestCoordinateSearch:
-    """The generic-cut search (Gram branch on 2xd cuts, SVD branch otherwise)."""
+    """The generic-cut searches (Gram branch on 2xd cuts, SVD branch
+    otherwise): pair rotations for MIN, the conjugate-gradient ascent for
+    MAX."""
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
     def test_contribs_batch_invariant(self, dims):
@@ -283,38 +287,77 @@ class TestCoordinateSearch:
 
     # optimize_roof under RoofConfig(restarts=4, max_iters=40) on seeded
     # states, recorded from the search that evaluated every expansion
-    # candidate in its own call: (MIN value, MIN spread, MAX value,
-    # MAX spread).  None of these capped searches converges, so any change
-    # to the search trajectory moves them far beyond the tolerance.
+    # candidate in its own call: (MIN value, MIN spread, MAX value).  None
+    # of the capped MIN searches converges, so any change to the MIN
+    # trajectory moves them far beyond the tolerance.  The MAX values were
+    # found by the same pair-rotation search; the ascent that replaced it
+    # must meet or beat them.
     PINNED = {
-        ((2, 3), 0): (0.43597299060079076, 0.0118026496729291,
-                      0.9656639254668029, 9.292145950245967e-06),
-        ((2, 3), 1): (0.47990845867572496, 0.0005954520597832857,
-                      0.954004310633592, 4.384685301217495e-05),
-        ((3, 3), 0): (0.7757088995163084, 0.012315574822476583,
-                      1.5278946288611377, 0.0008585592485883531),
-        ((3, 3), 1): (0.7197047052355927, 0.041286104642083155,
-                      1.6247033281605248, 0.00036245191061290427),
+        ((2, 3), 0): (0.43597299060079076, 0.0118026496729291, 0.9656639254668029),
+        ((2, 3), 1): (0.47990845867572496, 0.0005954520597832857, 0.954004310633592),
+        ((3, 3), 0): (0.7757088995163084, 0.012315574822476583, 1.5278946288611377),
+        ((3, 3), 1): (0.7197047052355927, 0.041286104642083155, 1.6247033281605248),
     }
+
+    @staticmethod
+    def check_decomposition(rho, res):
+        # the result is a decomposition of rho whose mean negativity is its value
+        assert np.abs(reconstruct(res.weights, res.states) - rho.matrix).max() <= 1e-12
+        mean = sum(w * pure_negativity(psi, CUT2) for w, psi in zip(res.weights, res.states))
+        assert abs(mean - res.value) <= 1e-12
 
     @pytest.mark.parametrize("dims,i", sorted(PINNED))
     def test_trajectory_pinned(self, dims, i):
         tag = 71 if dims == (2, 3) else 73
         rho = haar_random_mixed(dims, 3, np.random.SeedSequence((tag, i)))
-        got = []
-        for direction in (Direction.MIN, Direction.MAX):
-            res = optimize_roof(
-                rho, CUT2,
-                RoofConfig(restarts=4, max_iters=40, seed=3 + i, direction=direction),
-            )
-            got += [res.value, res.restart_spread]
-        assert got == pytest.approx(self.PINNED[dims, i], rel=1e-12, abs=0.0)
+        lo, hi = (optimize_roof(rho, CUT2, RoofConfig(restarts=4, max_iters=40, seed=3 + i,
+                                                       direction=direction))
+                  for direction in (Direction.MIN, Direction.MAX))
+        min_value, min_spread, max_floor = self.PINNED[dims, i]
+        assert [lo.value, lo.restart_spread] == pytest.approx([min_value, min_spread],
+                                                             rel=1e-12, abs=0.0)
+        assert hi.value >= max_floor - 1e-12
+        self.check_decomposition(rho, lo)
+        self.check_decomposition(rho, hi)
+
+    # MAX values of the pair-rotation search under RoofConfig(restarts=4,
+    # max_iters=40, seed=i) on state i: rank-3 3x3 states, and the rank-2
+    # 2x3 marginals of parties (0, 2) of (2, 2, 3) pure states, the cut
+    # the qutrit campaign sends to the roof
+    MAX_FLOORS = {
+        (2, 3): (0.7571333522218078, 0.9203046223445912, 0.7921585560585278,
+                 0.6093592992914987, 0.8507690415233811, 0.8212524482423533,
+                 0.5671260114934966, 0.8565087264062679, 0.9097694741637559,
+                 0.8526732214179031, 0.9816902343796075, 0.8837750118476126),
+        (3, 3): (1.4240398120948594, 1.5188396421184245, 1.5486209410575773,
+                 1.3299210414060818, 1.4850219042253743, 1.555861753439272,
+                 1.6124648920575968, 1.6000955558778345, 1.6533041321361917,
+                 1.7595961433737037, 1.4868259652225948, 1.6560566188397265),
+    }
+
+    @pytest.mark.parametrize("dims", sorted(MAX_FLOORS))
+    def test_max_meets_recorded_values(self, dims):
+        floors = self.MAX_FLOORS[dims]
+        if dims == (3, 3):
+            rhos = [haar_random_mixed(dims, 3, np.random.SeedSequence((74, i)))
+                    for i in range(len(floors))]
+        else:
+            pures = (haar_random_pure((2, 2, 3), np.random.SeedSequence((75, i)))
+                     for i in range(len(floors)))
+            rhos = [partial_trace(density(psi), (0, 2)) for psi in pures]
+        configs = [RoofConfig(restarts=4, max_iters=40, seed=i, direction=Direction.MAX)
+                   for i in range(len(floors))]
+        results = optimize_roof_block(np.stack([rho.matrix for rho in rhos]), dims, CUT2, configs)
+        for rho, floor, res in zip(rhos, floors, results):
+            assert res.value >= floor - 1e-12
+            self.check_decomposition(rho, res)
 
 
 class TestRoofBlock:
     """optimize_roof_block advances every running restart of a block as
-    one array program, one trial call per step for all of them; each
-    result must equal optimize_roof on its row alone, bit for bit."""
+    an array program per direction, one trial call per step for all of
+    them; each result must equal optimize_roof on its row alone, bit for
+    bit."""
 
     @staticmethod
     def check(mats, dims, configs):
@@ -388,18 +431,19 @@ class TestEmbeddedOracle:
     Haar W_B into C^3 keeps the closed-form values, while
     squared_roof_block sends the embedded 2x3 and 3x3 states through the
     Gram and SVD branches of the roof search.  Rank 2 is exact at the
-    campaign config; the rank-4 bounds are the worst errors of that
-    search on these states, rounded up, a gate to tighten and never to
-    widen.
+    campaign config.  The rank-4 MIN bounds, and every MAX bound, are the
+    worst errors of that search on these states, rounded up: gates to
+    tighten and never to widen.  The MAX bounds were tightened from 1e-6,
+    1e-6, 2e-9 and 5e-12 when MAX moved to the conjugate-gradient ascent.
     """
 
     CONFIG = RoofConfig(restarts=4, max_iters=40)
     # (rank, A dim): (states, MIN bound, MAX bound)
     CASES = {
-        (2, 2): (12, 1e-6, 1e-6),
-        (2, 3): (12, 1e-6, 1e-6),
-        (4, 2): (12, 7e-5, 2e-9),
-        (4, 3): (4, 8e-5, 5e-12),
+        (2, 2): (12, 1e-6, 3e-14),
+        (2, 3): (12, 1e-6, 2e-14),
+        (4, 2): (12, 7e-5, 2e-12),
+        (4, 3): (4, 8e-5, 3e-13),
     }
 
     @pytest.mark.parametrize("rank,a_dim", sorted(CASES))
@@ -429,15 +473,16 @@ class TestRoofBlockDigest:
     stop at the floor, non-default cardinality, value_floor and
     squared_tolerance, MIN and MAX.
 
-    Recorded before the array program swept its row pairs in lockstep;
-    it holds every trajectory of these blocks to the last bit.  Like the
-    campaign digests, it is specific to the numpy build (numpy 2.4,
-    scipy-openblas 0.3.31 on x86_64) it was recorded with.
+    Recorded before the array program swept its row pairs in lockstep,
+    and re-recorded when MAX searches moved to the conjugate-gradient
+    ascent; it holds every trajectory of these blocks to the last bit.
+    Like the campaign digests, it is specific to the numpy build (numpy
+    2.4, scipy-openblas 0.3.31 on x86_64) it was recorded with.
     """
 
     DIMS = ((2, 3), (3, 2), (3, 3), (2, 4))
     BLOCKS = 32
-    DIGEST = "4ef622fbab55b3e6997f30d23aa05f756ac46acbbeaa0e6abffa531fca499852"
+    DIGEST = "9563dc81c3d5c72d4a253f5b937c08a559412b4f24deb77f0f404f92fdb6749a"
 
     @classmethod
     def block(cls, b):
@@ -480,8 +525,8 @@ def _run_sequential(rho, cfg):
     """optimize_roof without speculative restarts: each restart starts only
     after the ones before it have folded, as in a plain restart loop."""
     search = _Restarts(rho.matrix, rho.dims, cfg)
-    program = _Program(_Objective(rho.dims, (0,), (1,)).contribs, search.m, search.rank,
-                       rho.matrix.shape[0])
+    program = (_Program if search.minimize else _Ascent)(
+        _Objective(rho.dims, (0,), (1,)), search.m, search.rank)
     program.run([(search, t) for t in search.launch(speculate=False)])
     return search.result()
 
@@ -574,8 +619,9 @@ class TestRestartScheduling:
 
     @pytest.mark.parametrize("dims,rank", [((2, 3), 2), ((2, 3), 3), ((3, 3), 3)])
     def test_block_shares_objective_calls(self, dims, rank, monkeypatch):
-        # four rows, MIN and MAX mixed: each step of the block evaluates
-        # the trials of every running restart in one call
+        # four rows per direction: each step of the block evaluates the
+        # trials of every running restart of that direction in one call
+        # (MIN and MAX searches run as separate programs)
         calls = [0]
         contribs = _Objective.contribs
 
@@ -586,14 +632,16 @@ class TestRestartScheduling:
         monkeypatch.setattr(_Objective, "contribs", counted)
         mats = np.stack([haar_random_mixed(dims, rank, np.random.SeedSequence((93, i))).matrix
                          for i in range(4)])
-        configs = [RoofConfig(restarts=4, max_iters=15, seed=i,
-                              direction=(Direction.MIN, Direction.MAX)[i % 2]) for i in range(4)]
-        optimize_roof_block(mats, dims, CUT2, configs)
-        block = calls[0]
-        calls[0] = 0
-        for mat, cfg in zip(mats, configs):
-            optimize_roof(DensityMatrix(mat, dims), CUT2, cfg)
-        assert block < 0.5 * calls[0]
+        for direction in Direction:
+            configs = [RoofConfig(restarts=4, max_iters=15, seed=i, direction=direction)
+                       for i in range(4)]
+            calls[0] = 0
+            optimize_roof_block(mats, dims, CUT2, configs)
+            block = calls[0]
+            calls[0] = 0
+            for mat, cfg in zip(mats, configs):
+                optimize_roof(DensityMatrix(mat, dims), CUT2, cfg)
+            assert block < 0.5 * calls[0], direction
 
 
 class TestCampaignDigests:
@@ -607,9 +655,12 @@ class TestCampaignDigests:
     moved to singular values of the amplitude factor (Uhlmann's form of
     the closed forms).  ``2x2x3``, ``2x3x3`` and ``3x3x2`` were
     re-recorded again, with the same roof values and tallies, when the
-    relation powers moved to ``np.power``.  Like every LAPACK-backed
-    value, they are specific to the numpy build (numpy 2.4,
-    scipy-openblas 0.3.31 on x86_64) they were recorded with.
+    relation powers moved to ``np.power``.  All four were re-recorded
+    when MAX searches moved to the conjugate-gradient ascent: every
+    SCRENoA value, and so every polygamy and collective-tail field,
+    moved, while the SCREN values and the verdicts did not.  Like every
+    LAPACK-backed value, they are specific to the numpy build (numpy
+    2.4, scipy-openblas 0.3.31 on x86_64) they were recorded with.
     """
 
     ALPHAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
@@ -620,17 +671,17 @@ class TestCampaignDigests:
     CASES = {
         # 2x3 marginals, the Gram branch of the objective
         "2x2x3": (dict(dims=(2, 2, 3), samples=12, seed=11, roof=CAPPED),
-                  "901680d3de8ca68c68da8cb68ff0f5af7c9a9747f0827d7e8dd76dee1fb1d85d"),
+                  "ec039bb1a0a1b6af1b5429ae8a0de265b181c572b7c54bf304536e967d8d95ae"),
         "2x3x3": (dict(dims=(2, 3, 3), samples=3, seed=12, roof=CAPPED),
-                  "4a8429e28e2dba21e16f73c9cba7468a4083a115211487e09ac2a5698d0e0154"),
+                  "26994d3e722b0a2ee4d3a6b7131d7bc6fc5906ce1df71aab0f4589996be59839"),
         # the 3x3 marginal of parties 0 and 1 takes the SVD branch
         "3x3x2": (dict(dims=(3, 3, 2), samples=3, seed=12, roof=CAPPED),
-                  "323d8d16cf2cff03a48feb1a11439ceb752a0272392d8b129062232fd570a995"),
+                  "63eb29df25ea0945aa48fa79800e6b88bf8150969affec8d1994f8b65477dd5c"),
         # collective tails: SCRENoA of 2x4 and 2x8 cuts
         "collective": (dict(dims=(2, 2, 2, 2), samples=16, seed=13, alphas=(-0.5, -1.0),
                             relations=(RelationId.MONO_LADDER_NEG_COLLECTIVE,),
                             roof=RoofConfig(restarts=3, max_iters=20, seed=3)),
-                       "28c028384cacfd22da390d0d8da33287661b036a3816aaac8203c5b73d8c2aac"),
+                       "92e39a4d20650f2dbb97783d57e1e6c8db660c81240b020e1f4e3aa57c152d8b"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
